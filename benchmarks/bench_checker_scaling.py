@@ -2,8 +2,10 @@
 
 How the three core operations scale with computation size:
 
-* building a computation (transitive closure over the event DAG);
-* legality checking against a specification;
+* building a computation (transitive closure over the event DAG, which
+  also enforces the order legality rules);
+* legality checking against a specification (the spec-relative rules:
+  declared elements and classes, scope);
 * temporal (lattice) checking of a □ safety formula.
 
 Workload: chains-with-cross-talk -- P parallel chains of L events each,

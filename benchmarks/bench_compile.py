@@ -12,7 +12,7 @@ Two ways to run it::
     PYTHONPATH=src python benchmarks/bench_compile.py [--quick] [--json FILE]
 
 The second form delegates to ``repro.bench`` -- the same code path as
-the ``repro bench`` CLI subcommand and the CI ``bench-smoke`` gate --
+the ``repro bench`` CLI subcommand and the CI ``bench-gate`` job --
 and writes/gates ``BENCH_checker.json`` (the committed baseline; see
 docs/PERF.md).
 """

@@ -38,7 +38,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 #: Gated workloads may lose at most this fraction of their baseline
-#: compiled-vs-interpreted speedup ratio (CI ``bench-smoke``).
+#: compiled-vs-interpreted speedup ratio (CI ``bench-gate``).
 GATE_TOLERANCE = 0.25
 
 #: (name, chains, length, gated).  Small sizes are reported for the
@@ -642,7 +642,7 @@ def _suite_selected(only: Optional[str], prefix: str) -> bool:
 def run_bench(quick: bool = False, json_path: Optional[str] = None,
               baseline_path: Optional[str] = None, repeats: int = 3,
               only: Optional[str] = None, out=sys.stdout) -> int:
-    """The ``repro bench`` entry point (also used by CI bench-smoke).
+    """The ``repro bench`` entry point (also used by CI bench-gate).
 
     ``only`` restricts the run to rows whose name starts with that
     prefix (``--only por``, ``--only dfa:noeager``); suites that cannot
@@ -749,7 +749,7 @@ def main(argv=None) -> int:
         description="compiled-checker benchmarks with a regression gate")
     parser.add_argument("--quick", action="store_true",
                         help="small workloads only, skip the engine bench "
-                             "(CI bench-smoke)")
+                             "and the serve bench")
     parser.add_argument("--json", nargs="?", const="BENCH_checker.json",
                         default=None, metavar="FILE",
                         help="write results as JSON (default file: "

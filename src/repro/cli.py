@@ -760,7 +760,7 @@ def main(argv=None) -> int:
                       "(docs/PERF.md)")
     p_bench.add_argument("--quick", action="store_true",
                          help="small workloads only, skip the engine bench "
-                              "(CI bench-smoke)")
+                              "and the serve bench")
     p_bench.add_argument("--json", nargs="?", const="BENCH_checker.json",
                          default=None, metavar="FILE",
                          help="write results as JSON (default file: "

@@ -109,7 +109,7 @@ from .ids import (
     qualified,
 )
 from .legality import check_legality
-from .order import Relation, RelationBuilder
+from .order import Relation
 from .dot import computation_to_dot, history_lattice_to_dot
 from .dynamic_groups import (
     ADD_GROUP_MEMBER,
@@ -131,7 +131,7 @@ from .witness import Witness, find_witness
 
 __all__ = [
     # relations & computations
-    "Relation", "RelationBuilder", "Computation", "ComputationBuilder",
+    "Relation", "Computation", "ComputationBuilder",
     "parallel_compose", "sequential_compose", "restrict_events",
     # structure
     "Event", "EventClass", "ParamSpec", "ElementDecl", "EventClassRef",

@@ -14,8 +14,15 @@ The three relations:
   ``a`` and ``b`` occur at the same element and ``a``'s occurrence number
   is smaller.  Total per element by construction.
 * ``⇒`` (temporal order) -- the transitive closure of ``⊳ ∪ ⇒ₑ`` minus
-  identity; must be irreflexive (no causal cycles), enforced at
-  :meth:`ComputationBuilder.freeze` time.
+  identity; must be irreflexive (no causal cycles).
+
+The :class:`Computation` constructor enforces GEM's three order
+legality rules -- contiguous occurrence numbers, irreflexive ``⊳``, an
+acyclic ``⊳ ∪ ⇒ₑ`` -- and builds ``⇒`` as exactly that closure.  Every
+computation (builder ``freeze``, projection, composition, JSON load,
+thread relabelling) goes through it, so
+:func:`~repro.core.legality.check_legality` checks only the
+specification-relative rules.
 
 A :class:`Computation` is immutable; build one with
 :class:`ComputationBuilder`, which assigns occurrence numbers

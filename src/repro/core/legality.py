@@ -4,28 +4,36 @@
 computations.  These properties are described by a set of GEM legality
 restrictions which are automatically part of any GEM specification."
 
-The rules, as enumerated in the paper's prose:
+The rules, as enumerated in the paper's prose, and where each is
+enforced:
 
 * ``element-declared`` -- every event belongs to some element specified
   in σ (Section 4: "the events which may legally occur within a
   computation are those belonging to a specified list of elements");
+  checked here;
 * ``class-declared`` -- the event's class is declared at its element and
-  the event's data parameters match the declared signature;
+  the event's data parameters match the declared signature; checked
+  here;
 * ``element-order-total`` -- all events at one element are totally
   ordered by ⇒ₑ with contiguous occurrence numbers, and ⇒ₑ never relates
-  events of different elements (Section 5);
-* ``enable-irreflexive`` -- ⊳ is irreflexive (Section 5);
+  events of different elements (Section 5); enforced by the
+  :class:`~repro.core.computation.Computation` constructor;
+* ``enable-irreflexive`` -- ⊳ is irreflexive (Section 5); enforced by
+  the constructor;
 * ``temporal-order`` -- ⇒ equals the transitive closure of ⊳ ∪ ⇒ₑ minus
-  identity and is a strict partial order (Section 3);
+  identity and is a strict partial order (Section 3); enforced by the
+  constructor, which builds ⇒ as exactly that closure and raises
+  :class:`~repro.core.errors.CycleError` on a causal cycle;
 * ``scope`` -- every enable edge is permitted by the group structure and
-  ports (Section 4, footnote 4).
+  ports (Section 4, footnote 4); checked here.
 
-Much of this is enforced *structurally* by
-:class:`~repro.core.computation.Computation` (identity scheme, freeze-time
-cycle check), but :func:`check_legality` re-verifies everything against a
-specification, because computations can be built without one (e.g. by
-projection) and because an independent check is what makes the test
-suite trustworthy.
+The three order rules are properties of the partial order alone, and
+every computation -- built, projected, composed, relabelled or loaded
+from JSON -- goes through that one constructor, so an ill-formed order
+never reaches :func:`check_legality`.  The rules checked here are the
+ones that depend on the specification.  The ``order-laws`` fuzz oracle
+(:func:`repro.fuzz.oracles.check_order_laws`) independently recomputes
+the closure and compares it pair by pair.
 
 Violations are collected, not raised, so a caller sees all problems at
 once.
@@ -33,11 +41,10 @@ once.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .computation import Computation
 from .errors import LegalityViolation, SpecificationError
-from .order import Relation, RelationBuilder
 
 
 def check_legality(
@@ -47,9 +54,6 @@ def check_legality(
     violations: List[LegalityViolation] = []
     violations.extend(_check_elements_declared(computation, spec))
     violations.extend(_check_classes_declared(computation, spec))
-    violations.extend(_check_element_order(computation))
-    violations.extend(_check_enable_irreflexive(computation))
-    violations.extend(_check_temporal_order(computation))
     violations.extend(_check_scope(computation, spec))
     return violations
 
@@ -92,79 +96,6 @@ def _check_classes_declared(computation, spec) -> List[LegalityViolation]:
             out.append(
                 LegalityViolation("class-declared", str(exc), [ev.eid])
             )
-    return out
-
-
-def _check_element_order(computation) -> List[LegalityViolation]:
-    out = []
-    for element in computation.elements():
-        seq = computation.events_at(element)
-        for pos, ev in enumerate(seq, start=1):
-            if ev.index != pos:
-                out.append(
-                    LegalityViolation(
-                        "element-order-total",
-                        f"occurrence numbers at {element!r} are not contiguous "
-                        f"(position {pos} holds {ev.eid})",
-                        [ev.eid],
-                    )
-                )
-    return out
-
-
-def _check_enable_irreflexive(computation) -> List[LegalityViolation]:
-    out = []
-    for a, b in computation.enable_relation.pairs():
-        if a == b:
-            out.append(
-                LegalityViolation(
-                    "enable-irreflexive", f"{a} enables itself", [a]
-                )
-            )
-    return out
-
-
-def _check_temporal_order(computation) -> List[LegalityViolation]:
-    """⇒ must be the strict transitive closure of ⊳ ∪ ⇒ₑ."""
-    out = []
-    ids = [ev.eid for ev in computation.events]
-    builder = RelationBuilder()
-    for eid in ids:
-        builder.add_node(eid)
-    for a, b in computation.enable_relation.pairs():
-        builder.add_pair(a, b)
-    for element in computation.elements():
-        seq = computation.events_at(element)
-        for prev, nxt in zip(seq, seq[1:]):
-            builder.add_pair(prev.eid, nxt.eid)
-    union = builder.build()
-    if not union.is_acyclic():
-        out.append(
-            LegalityViolation(
-                "temporal-order",
-                "enable ∪ element order is cyclic; temporal order cannot be "
-                "irreflexive",
-                union.find_cycle() or [],
-            )
-        )
-        return out
-    closure = union.transitive_closure()
-    temporal = computation.temporal_relation
-    for a in ids:
-        for b in ids:
-            if a == b:
-                continue
-            want = closure.holds(a, b)
-            got = temporal.holds(a, b)
-            if want != got:
-                out.append(
-                    LegalityViolation(
-                        "temporal-order",
-                        f"temporal order disagrees with closure at ({a}, {b}): "
-                        f"closure={want} temporal={got}",
-                        [a, b],
-                    )
-                )
     return out
 
 

@@ -31,7 +31,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     TypeVar,
 )
@@ -44,9 +43,9 @@ N = TypeVar("N", bound=Hashable)
 class Relation:
     """A finite binary relation over a fixed node universe.
 
-    Immutable once built; construct with :meth:`from_pairs` or through
-    :class:`RelationBuilder`.  All heavy queries (closure, reduction,
-    topological order) are computed lazily and cached.
+    Immutable once built; construct with :meth:`from_pairs`.  All heavy
+    queries (closure, reduction, topological order) are computed lazily
+    and cached.
     """
 
     __slots__ = (
@@ -528,28 +527,3 @@ class Relation:
 
         return count(0)
 
-
-class RelationBuilder:
-    """Mutable accumulator for building a :class:`Relation`.
-
-    Nodes are kept in insertion order so downstream algorithms are
-    deterministic run to run.
-    """
-
-    def __init__(self) -> None:
-        self._nodes: List[Hashable] = []
-        self._seen: Set[Hashable] = set()
-        self._pairs: List[Tuple[Hashable, Hashable]] = []
-
-    def add_node(self, node: Hashable) -> None:
-        if node not in self._seen:
-            self._seen.add(node)
-            self._nodes.append(node)
-
-    def add_pair(self, a: Hashable, b: Hashable) -> None:
-        self.add_node(a)
-        self.add_node(b)
-        self._pairs.append((a, b))
-
-    def build(self) -> Relation:
-        return Relation.from_pairs(self._nodes, self._pairs)

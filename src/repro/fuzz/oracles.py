@@ -28,6 +28,7 @@ from ..core.compose import parallel_compose, restrict_events, sequential_compose
 from ..core.computation import Computation
 from ..core.formula import Formula, Henceforth, Restriction
 from ..core.history import History, all_histories, maximal_history_sequences
+from ..core.order import Relation
 from ..engine import EngineConfig, run_verification
 from ..engine.por import AmpleSelector
 from ..sim.scheduler import explore, replay_prefix, run_random
@@ -61,9 +62,12 @@ def check_order_laws(comp: Computation) -> Optional[str]:
     """Strict-partial-order laws of ``⇒`` and the Relation algebra.
 
     ``⇒`` must be an irreflexive transitive (hence acyclic) order that
-    contains ``⊳`` and ``⇒ₑ``; closure must be idempotent, reduction
-    must round-trip through closure, topological order must linearise
-    it, and concurrency must be the symmetric irreflexive complement.
+    equals the closure of ``⊳ ∪ ⇒ₑ`` -- recomputed here from the enable
+    edges and element sequences and compared pair by pair, so this is
+    the reference for the order the constructor builds; closure must be
+    idempotent, reduction must round-trip through closure, topological
+    order must linearise it, and concurrency must be the symmetric
+    irreflexive complement.
     """
     t = comp.temporal_relation
     if not t.is_strict_partial_order():
@@ -79,15 +83,20 @@ def check_order_laws(comp: Computation) -> Optional[str]:
     position = {n: i for i, n in enumerate(t.topological_order())}
     if any(position[a] >= position[b] for a, b in pairs):
         return "topological_order() violates ⇒"
-    for a, b in comp.enable_relation.pairs():
-        if not t.holds(a, b):
-            return f"⊳ pair {a} ⊳ {b} missing from ⇒"
+    ids = [ev.eid for ev in comp.events]
+    generators = list(comp.enable_relation.pairs())
     for element in comp.elements():
         seq = comp.events_at(element)
-        for prev, nxt in zip(seq, seq[1:]):
-            if not t.holds(prev.eid, nxt.eid):
-                return f"⇒ₑ cover {prev.eid} ⇒ₑ {nxt.eid} missing from ⇒"
-    ids = [ev.eid for ev in comp.events]
+        generators.extend(
+            (prev.eid, nxt.eid) for prev, nxt in zip(seq, seq[1:]))
+    closure = set(Relation.from_pairs(ids, generators)
+                  .transitive_closure().pairs())
+    if closure - pairs:
+        a, b = min(closure - pairs)
+        return f"closure pair {a} ⇒ {b} of ⊳ ∪ ⇒ₑ missing from ⇒"
+    if pairs - closure:
+        a, b = min(pairs - closure)
+        return f"⇒ pair {a} ⇒ {b} is not in the closure of ⊳ ∪ ⇒ₑ"
     for a in ids:
         if comp.concurrent(a, a):
             return f"concurrent({a}, {a}) should be false"

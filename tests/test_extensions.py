@@ -180,6 +180,27 @@ class TestJsonIO:
             computation_from_json({"format": "gem-computation",
                                    "version": 99})
 
+    @pytest.mark.parametrize("events, enables, match", [
+        # enable cycle: A^1 ⊳ B^1 ⊳ A^1
+        ([("A", 1), ("B", 1)],
+         [[["A", 1], ["B", 1]], [["B", 1], ["A", 1]]], "cycle"),
+        # self-enable: A^1 ⊳ A^1
+        ([("A", 1)], [[["A", 1], ["A", 1]]], "irreflexive"),
+        # gap in occurrence numbers: A^1, A^3
+        ([("A", 1), ("A", 3)], [], "contiguous"),
+    ], ids=["enable-cycle", "self-enable", "occurrence-gap"])
+    def test_ill_formed_order_rejected(self, events, enables, match):
+        # loading is the boundary for outside input; the Computation
+        # constructor is its only structural check
+        data = {
+            "format": "gem-computation", "version": 1,
+            "events": [{"element": e, "index": i, "class": "Go"}
+                       for e, i in events],
+            "enables": enables,
+        }
+        with pytest.raises(ComputationError, match=match):
+            computation_from_json(data)
+
     def test_file_round_trip(self, tmp_path):
         from repro.core.io import dump, load
 

@@ -205,6 +205,24 @@ class TestKilledMutants:
         message = check_order_laws(comp)
         assert message is not None
 
+    def test_order_oracle_kills_spurious_pair_between_concurrent_events(self):
+        # A ⇒ B and C are unordered; a tampered ⇒ that adds A ⇒ C is
+        # still a strict partial order containing ⊳ and ⇒ₑ, so only the
+        # comparison against the closure of ⊳ ∪ ⇒ₑ can reject it
+        b = ComputationBuilder()
+        e1 = b.add_event("A", "Go")
+        e2 = b.add_event("B", "Go")
+        e3 = b.add_event("C", "Go")
+        b.add_enable(e1, e2)
+        comp = b.freeze()
+        assert comp.concurrent(e1.eid, e3.eid)
+        ids = [ev.eid for ev in comp.events]
+        comp._temporal = Relation.from_pairs(
+            ids, list(comp.temporal_relation.pairs()) + [(e1.eid, e3.eid)])
+        message = check_order_laws(comp)
+        assert message is not None
+        assert "not in the closure" in message
+
     def test_history_oracle_kills_forged_history(self):
         b = ComputationBuilder()
         e1 = b.add_event("A", "Go")

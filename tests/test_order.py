@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import CycleError
-from repro.core.order import Relation, RelationBuilder
+from repro.core.order import Relation
 
 
 def rel(nodes, pairs):
@@ -30,15 +30,6 @@ class TestConstruction:
         assert len(r) == 3
         assert r.pair_count() == 0
         assert list(r.pairs()) == []
-
-    def test_builder_deduplicates_nodes(self):
-        b = RelationBuilder()
-        b.add_pair("a", "b")
-        b.add_pair("a", "c")
-        b.add_node("a")
-        r = b.build()
-        assert set(r.nodes) == {"a", "b", "c"}
-        assert r.pair_count() == 2
 
     def test_contains(self):
         r = rel("ab", [])
