@@ -233,11 +233,10 @@ def run_engine_bench(repeats: int = 1) -> Dict[str, dict]:
     }
 
 
-#: Minimum one-shot-vs-warm-daemon ratio for the gated ``serve:warm``
-#: row -- an absolute floor asserted on every run, independent of the
-#: baseline-relative gate.  A resident daemon whose warm resubmission
-#: is not at least this much faster than re-running the engine from
-#: scratch is not earning its memory footprint.
+#: Minimum one-shot-vs-warm-daemon ratio for the ``serve:warm`` row --
+#: an absolute floor asserted on every run.  A resident daemon whose
+#: warm resubmission is not at least this much faster than re-running
+#: the engine from scratch is not earning its memory footprint.
 SERVE_GATE_MIN = 3.0
 
 
@@ -253,6 +252,13 @@ def run_serve_bench(repeats: int = 3) -> Dict[str, dict]:
     byte-identical to the one-shot engine's before any number is
     reported, and ``serve:warm`` must beat the one-shot time by
     :data:`SERVE_GATE_MIN` on every run.
+
+    Neither ratio is baseline-gated: dividing the one-shot time by a
+    warm time that does not move, ``serve:warm`` would fall with every
+    one-shot speedup.  The daemon is gated on work counters instead --
+    the cold job checks every distinct computation, the warm job
+    re-checks nothing and answers every run from resident outcomes
+    (worker memo or shared cache) -- with the times as context.
     """
     from .serve.daemon import start_in_thread
     from .serve.client import ServeClient
@@ -293,9 +299,20 @@ def run_serve_bench(repeats: int = 3) -> Dict[str, dict]:
         assert snap["result"]["signature"] == expected, (
             f"serve: {label} daemon signature differs from the one-shot "
             f"engine's")
-    assert warm["result"]["stats"]["checks_performed"] == 0, (
+    cold_stats = cold["result"]["stats"]
+    warm_stats = warm["result"]["stats"]
+    assert cold_stats["checks_performed"] == cold_stats[
+        "distinct_computations"], (
+        "serve: the cold job did not check every distinct computation")
+    assert warm_stats["checks_performed"] == 0, (
         "serve: warm resubmission recomputed outcomes instead of "
         "replaying the shared cache")
+    # the resident worker's memo answers before the shared cache does,
+    # so warm hits may be attributed to either counter
+    reused = warm_stats["cache_hits"] + warm_stats["dedupe_hits"]
+    assert reused == warm_stats["runs"], (
+        f"serve: warm resubmission answered {reused} of "
+        f"{warm_stats['runs']} run(s) from resident outcomes")
     warm_speedup = oneshot_s / warm_s
     assert warm_speedup >= SERVE_GATE_MIN, (
         f"serve:warm: {warm_speedup:.1f}x over the per-invocation path "
@@ -308,7 +325,7 @@ def run_serve_bench(repeats: int = 3) -> Dict[str, dict]:
             "speedup": round(oneshot_s / cold_s, 2),
         },
         "serve:warm": {
-            "gate": True,
+            "gate": False,
             "oneshot_s": round(oneshot_s, 6),
             "serve_s": round(warm_s, 6),
             "speedup": round(warm_speedup, 2),

@@ -18,6 +18,7 @@ are seeded without monkeypatching.
 
 from __future__ import annotations
 
+import itertools
 import random
 import tempfile
 from dataclasses import dataclass, replace
@@ -454,10 +455,16 @@ def check_dfa_agrees(
     return None
 
 
+#: Explored runs per reduction mode that :func:`check_replay_determinism`
+#: replays -- enough to cover several branch points of a fuzz program.
+REPLAY_EXPLORE_RUNS = 32
+
+
 def check_replay_determinism(
     program,
     seed: int,
     max_steps: int = 400,
+    explore_impl: Optional[Callable] = None,
 ) -> Optional[str]:
     """Replay contract of the scheduler and interpreters.
 
@@ -467,6 +474,14 @@ def check_replay_determinism(
     violating this (enabled-order depending on ambient state) break
     every downstream guarantee -- sampling provenance, engine sharding,
     and cache keying alike.
+
+    Replay is also the exhaustive explorer's oracle: the explorer steps
+    live states forward instead of replaying every node, so for the
+    first :data:`REPLAY_EXPLORE_RUNS` runs it yields (POR off and on),
+    replaying ``run.choices`` must give the run's computation.  ``explore_impl``
+    injects the explorer under test (default:
+    :func:`repro.sim.scheduler.explore`); the killed-mutant tests pass
+    one that reuses a stepped state across sibling branches.
     """
     first = run_random(program, seed, max_steps=max_steps)
     second = run_random(program, seed, max_steps=max_steps)
@@ -479,6 +494,19 @@ def check_replay_determinism(
     replayed = replay_prefix(program, first.choices)
     if replayed.computation().stable_fingerprint() != fp1:
         return f"replay_prefix diverged from the recorded run (seed={seed})"
+    explore_fn = explore_impl or explore
+    for label, por in (("full", None), ("por", AmpleSelector())):
+        walk = explore_fn(program, max_steps=max_steps, por=por)
+        for run in itertools.islice(walk, REPLAY_EXPLORE_RUNS):
+            try:
+                replayed = replay_prefix(program, run.choices)
+            except Exception as exc:
+                return (f"explore ({label}) yielded run {run.choices}, "
+                        f"which does not replay: {exc!r}")
+            if (replayed.computation().stable_fingerprint()
+                    != run.computation.stable_fingerprint()):
+                return (f"explore ({label}) run {run.choices} differs "
+                        "from replay_prefix of its choices")
     return None
 
 
@@ -953,8 +981,8 @@ def make_oracles(jobs: int = 2) -> Dict[str, Oracle]:
         ),
         Oracle(
             "replay-determinism",
-            "seeded runs and prefix replay reproduce byte-identical "
-            "computations",
+            "seeded runs, explored runs and prefix replay reproduce "
+            "byte-identical computations",
             gen_replay,
             lambda art: check_replay_determinism(art.program(), art.seed),
         ),

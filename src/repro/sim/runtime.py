@@ -14,11 +14,12 @@ interleaving explorer (:mod:`repro.sim.scheduler`):
   whether it is final (no process will ever move again);
 * the scheduler explores the tree of choices.
 
-States are advanced by *replay*: the explorer never snapshots a state,
-it re-executes a prefix of choices from a fresh state.  That keeps
-interpreters free to use ordinary mutable Python objects, at the cost of
-O(depth) re-execution per branch point -- a fine trade for the model
-sizes bounded checking needs (DESIGN.md §5).
+States are never copied or snapshotted, so interpreters are free to
+use ordinary mutable Python objects.  The explorer walks forward: a
+node's state is stepped in place into its last branch, and every other
+branch starts from a fresh state *replayed* through its choice prefix.
+That is one prefix replay per yielded run, not one per node.  Engine
+shards, witnesses and the fuzz oracles replay choice prefixes too.
 
 The contract that makes replay sound: ``enabled()`` must be
 *deterministic* (same state history, same action list in the same
@@ -143,7 +144,15 @@ class SimState(Protocol):
         ...
 
     def computation(self) -> Computation:
-        """Freeze and return the computation built so far."""
+        """Freeze and return the computation built so far.
+
+        Must not mutate the state, and the value returned must not
+        change when the state is stepped further: the automaton
+        monitor freezes internal scheduler nodes whose states the
+        explorer then steps into their last branch.
+        (:class:`~repro.core.computation.Computation` copies the
+        builder's lists into tuples, so :class:`SimpleState` complies.)
+        """
         ...
 
 

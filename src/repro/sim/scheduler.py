@@ -13,8 +13,12 @@ quantification, bounded:
 * :func:`explore_or_sample` -- exhaustive if the run cap suffices, else
   sampled (reported in the result).
 
-Replay discipline: the explorer re-executes prefixes from fresh states
-(see :mod:`repro.sim.runtime`), so interpreters may mutate freely.
+Forward walk: :func:`explore` hands each node's state to its last
+branch, stepped in place, and starts every other branch from a fresh
+state replayed through that branch's choices (see
+:mod:`repro.sim.runtime`).  So each yielded run costs one prefix
+replay, and interpreters may still mutate freely: no state is ever
+shared between two branches.
 
 Fairness.  A *maximal* run (no enabled action at the end, state final)
 trivially satisfies weak fairness: nothing enabled remains unscheduled.
@@ -51,10 +55,6 @@ def replay_prefix(program: Program, choices: Sequence[int]) -> SimState:
         actions = state.enabled()
         state.step(actions[choice])
     return state
-
-
-# historical (pre-engine) private name, kept for callers in the wild
-_replay = replay_prefix
 
 
 def replay_with_postponed(program: Program, choices: Sequence[int]):
@@ -118,13 +118,9 @@ def explore(
         raise VerificationError("max_steps must be positive")
     produced = 0
 
-    def rec(choices: Tuple[int, ...], mnode) -> Iterator[Run]:
+    def rec(choices: Tuple[int, ...], state: SimState, postponed,
+            mnode) -> Iterator[Run]:
         nonlocal produced
-        if por is None:
-            state = replay_prefix(program, choices)
-            postponed = None
-        else:
-            state, postponed = replay_with_postponed(program, choices)
         actions = state.enabled()
         if not actions or len(choices) >= max_steps:
             produced += 1
@@ -152,11 +148,29 @@ def explore(
             branches = range(len(actions))
         else:
             branches = por.ample(state, actions, postponed)
-        for i in branches:
-            yield from rec(choices + (i,), mnode)
+        last = len(branches) - 1
+        for n, i in enumerate(branches):
+            chosen = actions[i]
+            child_postponed = (None if por is None else
+                               advance_postponed(postponed, actions, chosen))
+            if n == last:
+                # this node is done with its state: step it in place
+                child = state
+                child.step(chosen)
+            else:
+                child = replay_prefix(program, choices + (i,))
+            yield from rec(choices + (i,), child, child_postponed, mnode)
+
+    def walk(choices: Tuple[int, ...], mnode) -> Iterator[Run]:
+        # the one replay for the root, deferred to the first next()
+        if por is None:
+            state, postponed = replay_prefix(program, choices), None
+        else:
+            state, postponed = replay_with_postponed(program, choices)
+        yield from rec(choices, state, postponed, mnode)
 
     root = dfa.root() if dfa is not None else None
-    return rec(tuple(prefix), root)
+    return walk(tuple(prefix), root)
 
 
 def run_random(

@@ -363,6 +363,30 @@ class TestKilledMutants:
         }
         assert messages != {None}
 
+    def test_replay_oracle_kills_explorer_reusing_stepped_state(self):
+        from repro.sim.runtime import Run
+
+        def in_place_explore(program, max_steps, por=None):
+            """Steps the parent's state in place for *every* branch --
+            the planted defect: siblings after the first start from
+            wherever the previous subtree left the state."""
+            def rec(choices, state):
+                actions = state.enabled()
+                if not actions or len(choices) >= max_steps:
+                    yield Run(state.computation(), choices)
+                    return
+                for i, action in enumerate(actions):
+                    state.step(action)
+                    yield from rec(choices + (i,), state)
+            return rec((), program.initial_state())
+
+        program = FuzzProgram(FuzzProgramSpec(procs=(2, 2)))
+        assert check_replay_determinism(program, 0) is None
+        message = check_replay_determinism(
+            program, 0, explore_impl=in_place_explore)
+        assert message is not None
+        assert "explore (full)" in message
+
     @needs_fork
     def test_engine_oracle_kills_fork_divergent_program(self):
         spec = FuzzProgramSpec(

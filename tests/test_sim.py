@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ComputationBuilder
 from repro.core.errors import VerificationError
+from repro.engine.por import AmpleSelector
 from repro.sim import (
     Action,
     ExplorationResult,
@@ -13,6 +14,7 @@ from repro.sim import (
     explore_or_sample,
     run_random,
     sample_runs,
+    scheduler,
 )
 
 
@@ -116,6 +118,119 @@ class TestExplore:
         (run,) = explore(CounterProgram(1, 1))
         assert "completed" in run.describe()
         assert "1 steps" in run.describe()
+
+
+def reference_explore(program, max_steps=scheduler.DEFAULT_MAX_STEPS,
+                      prefix=(), por=None, dfa=None):
+    """The replay-per-node DFS: every node rebuilt from a fresh state.
+
+    Yields ``(choices, stable fingerprint, deadlocked, truncated,
+    decided)`` per run, in DFS order -- what :func:`explore` must
+    reproduce exactly.
+    """
+    def rec(choices, mnode):
+        state, postponed = scheduler.replay_with_postponed(program, choices)
+        actions = state.enabled()
+        if not actions or len(choices) >= max_steps:
+            deadlocked = not actions and not state.is_final()
+            decided = mnode.decided if mnode is not None else ()
+            yield (choices, state.computation().stable_fingerprint(),
+                   deadlocked, bool(actions), decided)
+            return
+        if mnode is not None:
+            mnode = dfa.advance(mnode, state, len(choices))
+        branches = (range(len(actions)) if por is None
+                    else por.ample(state, actions, postponed))
+        for i in branches:
+            yield from rec(choices + (i,), mnode)
+
+    return list(rec(tuple(prefix), dfa.root() if dfa is not None else None))
+
+
+def census(runs):
+    return [(r.choices, r.computation.stable_fingerprint(), r.deadlocked,
+             r.truncated, r.decided) for r in runs]
+
+
+def readers_writers():
+    from repro.langs.monitor import MonitorProgram, readers_writers_system
+    return MonitorProgram(readers_writers_system(1, 1),
+                          eager_reductions=False)
+
+
+@pytest.fixture
+def replay_calls(monkeypatch):
+    """Every ``replay_prefix``/``replay_with_postponed`` call the
+    explorer makes, by name."""
+    calls = []
+    for name in ("replay_prefix", "replay_with_postponed"):
+        def counting(*args, _name=name, _real=getattr(scheduler, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(scheduler, name, counting)
+    return calls
+
+
+class TestForwardWalk:
+    """The explorer steps each node's state into its last branch, so it
+    replays a prefix once per yielded run, not once per node."""
+
+    @pytest.mark.parametrize("por", [None, AmpleSelector],
+                             ids=["full", "ample"])
+    def test_one_replay_per_run(self, replay_calls, por):
+        runs = list(explore(CounterProgram(3, 3),
+                            por=por() if por else None))
+        assert len(runs) == 1680  # 9! / (3! 3! 3!)
+        assert len(replay_calls) == len(runs)
+
+    def test_one_replay_per_run_under_reduction(self, replay_calls):
+        runs = list(explore(readers_writers(), por=AmpleSelector()))
+        assert len(runs) == 36
+        assert len(replay_calls) == len(runs)
+
+    def test_prefix_root_replayed_lazily(self, replay_calls):
+        walk = explore(CounterProgram(2, 2), prefix=(1,))
+        assert replay_calls == []
+        runs = list(walk)
+        assert all(r.choices[:1] == (1,) for r in runs)
+        assert len(replay_calls) == len(runs) == 3
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"max_steps": 4},
+        {"prefix": (2, 0)},
+    ], ids=["full", "truncated", "prefix"])
+    def test_matches_replay_per_node(self, kwargs):
+        program = CounterProgram(3, 2, deadlock_after=5)
+        assert census(explore(program, **kwargs)) == reference_explore(
+            program, **kwargs)
+
+    def test_matches_replay_per_node_under_reduction(self):
+        program = readers_writers()
+        assert census(explore(program, por=AmpleSelector())) == (
+            reference_explore(program, por=AmpleSelector()))
+
+    @pytest.mark.parametrize("por", [None, AmpleSelector],
+                             ids=["full", "ample"])
+    def test_matches_replay_per_node_with_monitor(self, por):
+        """The monitor freezes internal nodes' states, which the walk
+        then steps into their last branch: its early verdicts must
+        still be those of the replayed prefixes."""
+        from repro.core.automata import AutomatonMonitor, automata_plan_for
+        from repro.problems.ring import RingProgram, ring_spec
+
+        def monitor():
+            spec = ring_spec()
+            return AutomatonMonitor(automata_plan_for(spec), spec)
+
+        def selector():
+            return por() if por else None
+
+        program = RingProgram(workers=2, rounds=3)
+        walked = census(explore(program, por=selector(), dfa=monitor()))
+        assert walked == reference_explore(program, por=selector(),
+                                           dfa=monitor())
+        assert all(decided for *_, decided in walked)
 
 
 class TestRandomRuns:
