@@ -1,32 +1,33 @@
-"""Checker/engine/POR benchmarks behind ``repro bench`` (docs/PERF.md).
+"""Checker/serve/POR/DFA benchmarks behind ``repro bench`` (docs/PERF.md).
 
 Measures the compiled restriction checker (:mod:`repro.core.compile`)
 against the reference lattice interpreter on the S1
 chains-with-cross-talk workload (the same shape as
 ``benchmarks/bench_checker_scaling.py``), the computation slice
-(:mod:`repro.core.slice`, S9 -- slice-routed vs walked lattice
-checking on a regular implication that holds everywhere, so the walk
-cannot short-circuit), one end-to-end engine
-verification, the serve daemon's warm-resubmission win over the
-per-invocation engine path (:mod:`repro.serve`, S8 -- a real daemon on
-an ephemeral port, signatures asserted identical to one-shot), and the
-partial-order reduction's schedule savings (:mod:`repro.engine.por`,
-S7 -- reduced vs full exploration on the unreduced readers/writers and
-bounded-buffer monitors), and writes the results as JSON.  The JSON file doubles as the committed regression
-baseline (``BENCH_checker.json``): when the output file already
-exists, the run first *gates* against it -- a gated workload whose
-ratio (compiled-vs-interpreted speedup, or full-vs-reduced schedule
-count for the ``por:*`` rows) drops by more than ``GATE_TOLERANCE``
-fails the run and leaves the baseline untouched.  Comparing *ratios*
-rather than wall-clock seconds keeps the gate meaningful across
-machines of different speeds -- the POR rows' ratios are run counts,
-deterministic on any machine.
+(:mod:`repro.core.slice`, S9 -- the bare slice analysis vs the
+walked lattice on a regular implication that holds everywhere, so the
+walk cannot short-circuit), the serve daemon's warm-resubmission win
+over the per-invocation engine path (:mod:`repro.serve`, S8 -- a real
+daemon on an ephemeral port, signatures asserted identical to
+one-shot), the partial-order reduction's schedule savings
+(:mod:`repro.engine.por`, S7 -- reduced vs full exploration on the
+unreduced readers/writers and bounded-buffer monitors), the
+restriction-automata monitor and the consistency deciders, and writes
+the results as JSON.  The JSON file doubles as the committed
+regression baseline (``BENCH_checker.json``): when the output file
+already exists, the run first *gates* against it -- a gated workload
+whose ratio (compiled-vs-interpreted speedup, or full-vs-reduced
+schedule count for the ``por:*`` rows) drops by more than
+``GATE_TOLERANCE`` fails the run and leaves the baseline untouched.
+Comparing *ratios* rather than wall-clock seconds keeps the gate
+meaningful across machines of different speeds -- the POR rows'
+ratios are run counts, deterministic on any machine.
 
 Every measurement is a correctness check before it is a timer: the
-compiled verdict is asserted equal to the interpreted one, the engine
-reports signature-equal, and the reduced exploration's computation
-fingerprint set equal to the full one's, before any number is
-reported.
+compiled verdict is asserted equal to the interpreted one, the daemon
+reports signature-equal to the one-shot engine, and the reduced
+exploration's computation fingerprint set equal to the full one's,
+before any number is reported.
 """
 
 from __future__ import annotations
@@ -158,14 +159,15 @@ def slice_restriction():
 
 def run_slice_bench(quick: bool = False, repeats: int = 3,
                     history_cap: int = 5_000_000) -> Dict[str, dict]:
-    """Slice-routed vs walked lattice checking per S9 workload.
+    """The bare slice analysis vs the walked lattice per S9 workload.
 
-    Correctness before timing: the sliced outcome must carry slice
-    provenance (a silent walk fallback would time the wrong thing) and
-    equal the walked verdict and detail.
+    Times :meth:`repro.core.slice.SliceChecker.analyze` on a fresh
+    checker -- the slice route of the ``auto`` chain, without the DFA
+    leaf ahead of it.  Correctness before timing: the slice must decide
+    (a silent decline would time nothing) and equal the walked verdict.
     """
     from .core.checker import check_restriction
-    from .core.slice import classify_restriction
+    from .core.slice import SliceChecker, classify_restriction
 
     restriction = slice_restriction()
     workloads = QUICK_SLICE_WORKLOADS if quick else SLICE_WORKLOADS
@@ -182,15 +184,11 @@ def run_slice_bench(quick: bool = False, repeats: int = 3,
             # a fresh computation per repeat so the timing includes the
             # classification and cube construction (no warm slicer)
             fresh = build_chain_workload(chains, length)
-            return check_restriction(fresh, restriction,
-                                     temporal_mode="lattice",
-                                     use_slice=True,
-                                     history_cap=history_cap)
+            return SliceChecker(fresh).analyze(restriction).verdict
 
         sliced_s, sliced = _best_of(repeats, slice_once)
-        assert sliced.provenance == "slice", (
-            f"{name}: slice fell back to the walk")
-        assert (walk.holds, walk.detail) == (sliced.holds, sliced.detail), (
+        assert sliced is not None, f"{name}: the slice declined"
+        assert sliced == walk.holds, (
             f"{name}: sliced verdict {sliced} != walked {walk}")
         results[name] = {
             "chains": chains,
@@ -201,36 +199,6 @@ def run_slice_bench(quick: bool = False, repeats: int = 3,
             "speedup": round(walk_s / sliced_s, 2),
         }
     return results
-
-
-def run_engine_bench(repeats: int = 1) -> Dict[str, dict]:
-    """End-to-end ``verify_program`` compiled vs interpreted on the
-    monitor bounded-buffer case (report signatures must match)."""
-    from .langs.monitor import (MonitorProgram, bounded_buffer_system,
-                                monitor_program_spec)
-    from .problems import bounded_buffer
-    from .verify import verify_program
-
-    system = bounded_buffer_system(capacity=2, items=(1, 2, 3))
-    args = (MonitorProgram(system),
-            bounded_buffer.bounded_buffer_spec(2),
-            bounded_buffer.monitor_correspondence("bb"))
-    kwargs = {"program_spec": monitor_program_spec(system)}
-
-    lattice_s, lat = _best_of(repeats, lambda: verify_program(
-        *args, temporal_mode="lattice", **kwargs))
-    compiled_s, com = _best_of(repeats, lambda: verify_program(
-        *args, temporal_mode="compiled", **kwargs))
-    assert lat.signature() == com.signature(), (
-        "engine: compiled report signature differs from interpreted")
-    return {
-        "engine:monitor-bb": {
-            "gate": False,
-            "lattice_s": round(lattice_s, 6),
-            "compiled_s": round(compiled_s, 6),
-            "speedup": round(lattice_s / compiled_s, 2),
-        }
-    }
 
 
 #: Minimum one-shot-vs-warm-daemon ratio for the ``serve:warm`` row --
@@ -431,7 +399,7 @@ def run_dfa_bench(quick: bool = False) -> Dict[str, dict]:
 
     ``dfa:noeager`` (full mode only) -- the same restriction end to
     end: ``verify_program`` on the mutant ``monitor-tally-mesa``
-    catalog case with the automata disabled vs enabled.  Report
+    catalog case with the exploration monitor off vs on.  Report
     signatures are asserted byte-identical and the speedup must clear
     :data:`DFA_NOEAGER_GATE_MIN`.
     """
@@ -454,8 +422,7 @@ def run_dfa_bench(quick: bool = False) -> Dict[str, dict]:
             if fp in verdicts:
                 continue
             verdicts[fp] = check_computation(
-                run.computation, spec, use_slice=True,
-                use_dfa=with_monitor,
+                run.computation, spec,
                 decided=dict(run.decided) if with_monitor else None).ok
         return time.perf_counter() - t0, verdicts, monitor
 
@@ -671,11 +638,8 @@ def run_bench(quick: bool = False, json_path: Optional[str] = None,
         results.update(run_checker_bench(quick=quick, repeats=repeats))
     if _suite_selected(only, "slice:"):
         results.update(run_slice_bench(quick=quick, repeats=repeats))
-    if not quick:
-        if _suite_selected(only, "engine:"):
-            results.update(run_engine_bench())
-        if _suite_selected(only, "serve:"):
-            results.update(run_serve_bench(repeats=repeats))
+    if not quick and _suite_selected(only, "serve:"):
+        results.update(run_serve_bench(repeats=repeats))
     if _suite_selected(only, "por:"):
         results.update(run_por_bench(quick=quick))
     if _suite_selected(only, "dfa:"):
@@ -765,8 +729,8 @@ def main(argv=None) -> int:
         prog="repro bench",
         description="compiled-checker benchmarks with a regression gate")
     parser.add_argument("--quick", action="store_true",
-                        help="small workloads only, skip the engine bench "
-                             "and the serve bench")
+                        help="small workloads only, skip the serve "
+                             "bench")
     parser.add_argument("--json", nargs="?", const="BENCH_checker.json",
                         default=None, metavar="FILE",
                         help="write results as JSON (default file: "

@@ -10,15 +10,13 @@ Commands:
   incremental, ``--stats`` prints engine observability, ``--trace
   FILE`` writes the whole verification as a JSONL span trace
   (:mod:`repro.obs`; identical span structure for every ``--jobs``),
-  ``--no-compile`` falls back from the compiled bitmask checker to the
-  reference lattice interpreter (docs/PERF.md), ``--no-por`` disables
-  the ample-set partial-order reduction and expands every
-  interleaving (same verdicts either way; docs/ENGINE.md),
-  ``--no-slice`` disables computation slicing and walks the history
-  lattice for every temporal check (same verdicts either way;
-  docs/SLICING.md), ``--no-dfa`` disables restriction automata and
-  never cuts doomed branches early (same verdicts either way;
-  docs/PERF.md);
+  ``--no-por`` disables the ample-set partial-order reduction and
+  expands every interleaving (same verdicts either way;
+  docs/ENGINE.md), ``--no-dfa`` disables the exploration-time
+  restriction-automata monitor and never cuts doomed branches early
+  (same verdicts either way; docs/PERF.md).  Every check takes the
+  checker's one ``auto`` route chain -- DFA leaf, slice, compiled
+  walk, interpreter -- so no flag selects a checking route;
 * ``list`` -- list the available cases (``--json`` adds language and
   mutant-availability metadata, the same body the serve daemon's
   ``GET /cases`` returns);
@@ -222,7 +220,7 @@ def _build_cases() -> Dict[str, Callable]:
         # Mesa semantics without eager reductions: the monitor-lock
         # interleavings stay in the tree, and the mutant's duplicate
         # mark stamps break the mark budget in every branch within a
-        # few steps -- the restriction-automata (--dfa) showcase
+        # few steps -- the automaton monitor's (--dfa) showcase
         system = tally_system(2, 3, mutant=mutant)
         return (MonitorProgram(system, eager_reductions=False,
                                semantics="mesa"),
@@ -302,14 +300,11 @@ def cmd_verify(args) -> int:
 
         tracer = Tracer()
     program, spec, correspondence, program_spec = cases[args.case](args.mutant)
-    mode = "lattice" if args.no_compile else "compiled"
     started = time.perf_counter()
     report = verify_program(program, spec, correspondence,
                             program_spec=program_spec,
                             jobs=args.jobs, cache_dir=args.cache,
-                            temporal_mode=mode,
-                            tracer=tracer, por=args.por, slice=args.slice,
-                            dfa=args.dfa)
+                            tracer=tracer, por=args.por, dfa=args.dfa)
     wall_s = time.perf_counter() - started
     print(report.summary())
     if args.history:
@@ -317,8 +312,7 @@ def cmd_verify(args) -> int:
 
         run_id = record_report(
             RunHistory(args.history), source="cli", case=args.case,
-            flags={"jobs": args.jobs, "por": args.por, "slice": args.slice,
-                   "dfa": args.dfa, "compile": not args.no_compile,
+            flags={"jobs": args.jobs, "por": args.por, "dfa": args.dfa,
                    "mutant": args.mutant},
             report=report, wall_s=wall_s)
         print(f"history: run #{run_id} recorded in {args.history}")
@@ -558,12 +552,8 @@ def cmd_submit(args) -> int:
         spec["jobs"] = args.jobs
     if not args.por:
         spec["por"] = False
-    if not args.slice:
-        spec["slice"] = False
     if not args.dfa:
         spec["dfa"] = False
-    if args.no_compile:
-        spec["compile"] = False
     if args.history_cap is not None:
         spec["history_cap"] = args.history_cap
 
@@ -682,32 +672,18 @@ def main(argv=None) -> int:
                           help="on failure, write the failure-explanation "
                                "trace as Graphviz DOT (implies the witness "
                                "replay)")
-    p_verify.add_argument("--no-compile", action="store_true",
-                          help="check restrictions with the reference "
-                               "lattice interpreter instead of the "
-                               "compiled bitmask checker (escape hatch; "
-                               "reports are identical, only slower)")
     p_verify.add_argument("--por", default=True,
                           action=argparse.BooleanOptionalAction,
                           help="ample-set partial-order reduction of the "
                                "exploration (default on; --no-por explores "
                                "every interleaving -- same verdicts and "
                                "witnesses, larger run census)")
-    p_verify.add_argument("--slice", default=True,
-                          action=argparse.BooleanOptionalAction,
-                          help="computation slicing: decide regular "
-                               "temporal restrictions exactly on the "
-                               "join-closed sublattice of satisfying cuts "
-                               "(default on; --no-slice walks the history "
-                               "lattice for every check -- same verdicts "
-                               "either way; docs/SLICING.md)")
     p_verify.add_argument("--dfa", default=True,
                           action=argparse.BooleanOptionalAction,
-                          help="restriction automata: resolve temporal "
-                               "checks by compiled DFA and cut doomed "
+                          help="restriction-automata monitor: cut doomed "
                                "branches early during exploration "
-                               "(default on; --no-dfa takes the ordinary "
-                               "route for every check -- same verdicts "
+                               "(default on; --no-dfa checks every "
+                               "computation in full -- same verdicts "
                                "and witnesses either way; docs/PERF.md)")
     p_verify.add_argument("--history", nargs="?", metavar="DB",
                           const="repro_history.sqlite", default=None,
@@ -807,15 +783,10 @@ def main(argv=None) -> int:
     p_submit.add_argument("--por", default=True,
                           action=argparse.BooleanOptionalAction,
                           help="partial-order reduction (default on)")
-    p_submit.add_argument("--slice", default=True,
-                          action=argparse.BooleanOptionalAction,
-                          help="computation slicing (default on)")
     p_submit.add_argument("--dfa", default=True,
                           action=argparse.BooleanOptionalAction,
-                          help="restriction automata (default on)")
-    p_submit.add_argument("--no-compile", action="store_true",
-                          help="lattice interpreter instead of the "
-                               "compiled checker")
+                          help="restriction-automata monitor (default "
+                               "on)")
     p_submit.add_argument("--history-cap", type=int, default=None,
                           metavar="N", help="history-lattice size cap")
     p_submit.add_argument("--host", default="127.0.0.1")

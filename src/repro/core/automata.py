@@ -456,20 +456,21 @@ class RestrictionAutomaton:
             return (WATCH,)
         return (WATCH, ACCEPT) if self.kind != BOX_REJECT else (WATCH, REJECT)
 
-    def probe(self, prefix, temporal_mode: str, history_cap: int,
-              use_slice: bool = True) -> Optional[bool]:
+    def probe(self, prefix, history_cap: int) -> Optional[bool]:
         """One guard evaluation on a projected, thread-labelled prefix.
 
         Returns the restriction's (completion-wide) verdict when the DFA
         leaves ``WATCH``, else ``None``.  Pure function of the prefix
         computation -- replay, sharding and witnesses stay byte-identical.
+        A ``BOX_REJECT`` guard is the ``auto`` check of the restriction
+        on the prefix, handed this automaton so it is not re-classified.
         """
         if self.kind == BOX_REJECT:
             from .checker import check_restriction
 
             outcome = check_restriction(
-                prefix, self.restriction, temporal_mode=temporal_mode,
-                history_cap=history_cap, use_slice=use_slice)
+                prefix, self.restriction, history_cap=history_cap,
+                _automaton=self)
             return False if not outcome.holds else None
         if self.kind == DIA_ACCEPT:
             assert self.stripped is not None
@@ -656,13 +657,11 @@ class AutomatonMonitor:
     """
 
     def __init__(self, plan: AutomataPlan, problem_spec, correspondence=None,
-                 temporal_mode: str = "compiled",
                  history_cap: int = 2_000_000,
                  probe_budget: int = DEFAULT_PROBE_BUDGET,
                  projection_budget: int = DEFAULT_PROJECTION_BUDGET) -> None:
         self._spec = problem_spec
         self._corr = correspondence
-        self._mode = temporal_mode
         self._cap = history_cap
         self._budget = probe_budget
         self._proj_budget = projection_budget
@@ -784,7 +783,7 @@ class AutomatonMonitor:
             return self._memo[key]
         self.probes += 1
         try:
-            verdict = automaton.probe(prefix, self._mode, self._cap)
+            verdict = automaton.probe(prefix, self._cap)
         except Exception:
             self.probe_errors += 1
             verdict = None

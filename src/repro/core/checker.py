@@ -6,8 +6,40 @@ answer is no.
 
 Immediate restrictions are evaluated at the complete computation (its
 full history).  Temporal restrictions (containing □ or ◇) are
-interpreted over valid history sequences (Section 7) in one of two
-modes:
+interpreted over valid history sequences (Section 7).  Which kernel
+reaches the verdict is not part of the semantics: ``temporal_mode``
+takes one of four values, all deciding the same ``legal(C, σ)``.
+
+``auto`` (default)
+    The production route chain.  A temporal restriction is decided by
+    the first route that can decide it, in this order:
+
+    1. an early verdict from ``decided`` (the exploration-time
+       automaton monitor of :mod:`repro.core.automata`);
+    2. the DFA leaf: restrictions whose automaton is leaf-resolvable
+       (◇ with monotone bodies) are evaluated at the full history;
+    3. the slice (:mod:`repro.core.slice`): regular and linear shapes
+       are decided exactly on the join-closed sublattice of
+       satisfying cuts;
+    4. the compiled walk (:mod:`repro.core.compile`);
+    5. the lattice interpreter, for restrictions the compiler cannot
+       express (``PyPred``, unknown nodes).
+
+    Immediate restrictions take steps 4 and 5 only.  The outcome's
+    ``provenance`` records which of steps 1-3 decided it.
+
+``compiled``
+    Steps 4 and 5 alone: each restriction is compiled into closures
+    over bitmask histories, with quantifier-domain pruning, constant
+    folding, guard hoisting and monotone latching, and falls back to
+    the interpreter when it cannot be compiled (the
+    ``checker.fallbacks`` metric counts them).
+
+``lattice``
+    The reference interpreter: evaluate recursively over the lattice
+    of histories, reading □ as "at every history reachable from here"
+    (AG) and ◇ as "on every path from here, eventually" (AF), with
+    memoisation keyed by (subformula, history, relevant bindings).
 
 ``exact``
     Enumerate maximal valid history sequences from the empty history and
@@ -17,23 +49,10 @@ modes:
     Section 7 semantics).  Exact but exponential; use for small
     computations and cross-validation.
 
-``lattice``
-    Evaluate recursively over the lattice of histories, reading □ as
-    "at every history reachable from here" (AG) and ◇ as "on every
-    path from here, eventually" (AF), with memoisation keyed by
-    (subformula, history, relevant bindings).
-
-``compiled`` (default)
-    Same lattice semantics, but each restriction is first compiled by
-    :mod:`repro.core.compile` into closures over bitmask histories,
-    with quantifier-domain pruning, constant folding, guard hoisting
-    and monotone latching.  Restrictions the compiler cannot express
-    (``PyPred``, unknown nodes) transparently fall back to the
-    ``lattice`` interpreter (the ``checker.fallbacks`` metric counts
-    them), and the interpreter remains the reference oracle the
-    compiled mode is differentially tested against.  Failure
-    explanations and witnesses are always produced by the interpreter,
-    so diagnostics are identical across the two modes.
+The three single-route modes are references the ``auto`` chain is
+differentially tested against.  Failure explanations and witnesses are
+always produced by the interpreter, so detail strings and diagnostics
+are identical across every mode that walks the lattice.
 
 The lattice/exact modes agree on the formula shapes used throughout this
 reproduction.  For ``□p`` with immediate ``p`` they agree always: a vhs
@@ -90,15 +109,15 @@ DEFAULT_HISTORY_CAP = 2_000_000
 class RestrictionOutcome:
     """Verdict for one restriction on one computation.
 
-    ``provenance`` records how a temporal verdict was obtained when
-    slicing or DFA routing was requested -- ``"slice"`` (exact, no
-    lattice walk), ``"walk"`` (slice declined, lattice/compiled walk
-    decided it), ``"dfa"`` (restriction automaton resolved it at the
-    full history, no walk), or ``"dfa-early"`` (the exploration-time
+    ``provenance`` records which route of the ``auto`` chain decided
+    a temporal verdict -- ``"dfa-early"`` (the exploration-time
     automaton monitor decided it on a proper prefix and the check was
-    skipped); empty otherwise.  Excluded from equality and ``__str__``
-    so report signatures and differential oracles stay byte-identical
-    with and without either routing.
+    skipped), ``"dfa"`` (restriction automaton resolved it at the full
+    history, no walk), ``"slice"`` (exact, no lattice walk) or
+    ``"walk"`` (slice declined, compiled/lattice walk decided it);
+    empty for immediate restrictions and the single-route modes.
+    Excluded from equality and ``__str__`` so report signatures and
+    differential oracles stay byte-identical across modes.
     """
 
     name: str
@@ -120,13 +139,13 @@ class CheckResult:
     legality_violations: List = field(default_factory=list)
     outcomes: List[RestrictionOutcome] = field(default_factory=list)
     #: temporal restrictions decided exactly on the slice / via the walk
-    #: after the slice declined (both 0 unless ``use_slice`` was set)
+    #: after the slice declined (both 0 outside ``temporal_mode="auto"``)
     slice_hits: int = 0
     slice_fallbacks: int = 0
     #: temporal restrictions decided by the automaton route -- early
     #: (monitor verdicts) or at the full history (leaf-resolvable) --
     #: and restrictions whose shape the DFA compiler rejected (both 0
-    #: unless ``use_dfa`` was set)
+    #: outside ``temporal_mode="auto"``)
     dfa_hits: int = 0
     dfa_inert: int = 0
 
@@ -239,9 +258,9 @@ class LatticeChecker:
         if self._visited > self._cap:
             raise ComputationError(
                 f"lattice checker visited more than {self._cap} "
-                "(formula, history) pairs; raise history_cap, shrink the "
-                "computation, or leave slicing enabled (--slice) so regular "
-                "restrictions bypass the walk"
+                "(formula, history) pairs; raise history_cap or shrink the "
+                "computation (under temporal_mode=\"auto\" regular "
+                "restrictions are decided on the slice and bypass the walk)"
             )
 
     def _always(self, body: Formula, history: History, env: Dict) -> bool:
@@ -298,70 +317,71 @@ class LatticeChecker:
         return result
 
 
+#: Every accepted ``temporal_mode``: the production chain, then the
+#: three single-route references it is differentially tested against.
+TEMPORAL_MODES = ("auto", "compiled", "lattice", "exact")
+
+
 def check_restriction(
     computation: Computation,
     restriction: Restriction,
-    temporal_mode: str = "compiled",
+    temporal_mode: str = "auto",
     vhs_cap: int = DEFAULT_VHS_CAP,
     max_step: Optional[int] = 1,
     history_cap: int = DEFAULT_HISTORY_CAP,
     with_witness: bool = False,
-    use_slice: bool = False,
-    use_dfa: bool = False,
     decided: Optional[Dict[str, bool]] = None,
     _lattice: Optional[LatticeChecker] = None,
     _compiled: Optional[object] = None,
     _slice: Optional[object] = None,
-    _automata: Optional[object] = None,
+    _automaton: Optional[object] = None,
     metrics: Optional[object] = None,
     tracer: Optional[object] = None,
 ) -> RestrictionOutcome:
     """Check a single restriction on a (thread-labelled) computation.
 
+    ``temporal_mode`` is one of :data:`TEMPORAL_MODES` (see the module
+    docstring).  Under ``"auto"`` a temporal restriction is offered, in
+    order, to ``decided`` (the exploration-time automaton monitor's
+    early verdicts, semantically equal to what this check would derive;
+    ``provenance="dfa-early"``), to its restriction automaton when that
+    is leaf-resolvable (``provenance="dfa"``), and to
+    :class:`repro.core.slice.SliceChecker` (``provenance="slice"``, or
+    ``"walk"`` when the slice declines); whatever is left takes the
+    compiled walk with the interpreter as fallback.  ``decided`` is
+    ignored by the single-route modes.  Every route yields the same
+    verdict and detail string -- failing verdicts re-derive witnesses
+    and explanations through the interpreter via ``fail()`` -- and the
+    route differential in the tests and the ``slice-differential`` /
+    ``dfa-differential`` fuzz oracles gate that.
+
     With ``with_witness``, a failing outcome's detail carries a located
     counterexample (the failing history and quantifier bindings) from
     :mod:`repro.core.witness` -- costs roughly one extra check.
 
-    With ``use_slice``, temporal restrictions are first offered to
-    :class:`repro.core.slice.SliceChecker`: shapes it classifies as
-    regular or linear are decided *exactly* on the slice, without any
-    lattice walk and regardless of ``history_cap`` pressure
-    (``checker.slice_hits``); the rest fall through to the normal
-    compiled/lattice path (``checker.slice_fallbacks``).  Verdicts and
-    detail strings are identical either way -- the slice-differential
-    fuzz oracle gates that -- so the default is off here and the engine
-    turns it on.  ``_slice`` shares one :class:`SliceChecker` across a
-    spec's restrictions, like ``_lattice``/``_compiled``.
-
     ``metrics`` (a :class:`repro.obs.MetricsRegistry`, duck-typed so
     this module needs no obs import) receives ``checker.evals`` /
     ``checker.seconds`` per restriction (plus
-    ``checker.compiled_evals`` / ``checker.fallbacks`` in compiled
-    mode).  ``tracer`` (a :class:`repro.obs.Tracer`) wraps the
+    ``checker.compiled_evals`` / ``checker.fallbacks`` on the compiled
+    route and the ``checker.dfa_*`` / ``checker.slice_*`` routing
+    counters).  ``tracer`` (a :class:`repro.obs.Tracer`) wraps the
     evaluation in a ``restriction`` span, and on failure records a
     subformula evaluation trace (:mod:`repro.obs.explain`) explaining
     which binding / history prefix / temporal unrolling flipped the
-    verdict; explanations always come from the reference interpreter,
-    also under ``temporal_mode="compiled"``.
+    verdict; explanations always come from the reference interpreter.
 
-    ``_compiled`` is the :class:`repro.core.compile.CompiledSpec`
-    shared across a spec's restrictions by :func:`check_computation`;
-    without it, compiled mode compiles the single restriction on the
-    spot.
-
-    With ``use_dfa``, temporal restrictions route through
-    :mod:`repro.core.automata`: a verdict already present in
-    ``decided`` (the exploration-time automaton monitor's early
-    decisions, semantically equal to what this check would derive) is
-    taken as-is (``provenance="dfa-early"``), and restrictions whose
-    automaton is leaf-resolvable (◇ with monotone bodies) are evaluated
-    at the full history with no lattice walk (``provenance="dfa"``).
-    Failing verdicts still re-derive witnesses/explanations through the
-    interpreter via ``fail()``, so diagnostics are byte-identical with
-    the route off.  ``_automata`` shares one
-    :class:`repro.core.automata.AutomataPlan` across a spec's
-    restrictions.
+    :func:`check_computation` shares per-computation state across a
+    spec's restrictions: ``_lattice`` (the :class:`LatticeChecker`),
+    ``_compiled`` (the bound :class:`repro.core.compile.CompiledSpec`),
+    ``_slice`` (the :class:`SliceChecker`) and ``_automaton`` (this
+    restriction's :class:`repro.core.automata.RestrictionAutomaton`
+    from the spec's cached plan).  Without them each is built or
+    classified on the spot.
     """
+    if temporal_mode not in TEMPORAL_MODES:
+        raise SpecificationError(
+            f"unknown temporal_mode {temporal_mode!r}; expected one of "
+            f"{', '.join(TEMPORAL_MODES)}")
     tracing = tracer is not None and getattr(tracer, "enabled", False)
 
     def fail(detail: str) -> RestrictionOutcome:
@@ -381,61 +401,63 @@ def check_restriction(
                 detail = f"{detail}; witness: {witness.describe()}"
         return RestrictionOutcome(restriction.name, False, detail)
 
-    #: "" (slice not consulted) | "slice" (exact verdict) | "walk" (declined)
-    slice_state = [""]
-    #: "" | "dfa-early" (monitor verdict reused) | "dfa" (leaf-resolved)
-    dfa_state = [""]
+    #: the auto route that decided (or declined) a temporal verdict
+    route = [""]
+
+    def decide_early() -> Optional[RestrictionOutcome]:
+        """Steps 1-3 of the auto chain; ``None`` hands over to the walk.
+
+        Routed failures share the walk's detail string byte for byte;
+        ``fail()`` re-derives witnesses/explanations through the
+        interpreter, so diagnostics are route-invariant."""
+        name = restriction.name
+        if decided is not None and name in decided:
+            route[0] = "dfa-early"
+            if metrics is not None:
+                metrics.inc("checker.dfa_early", 1, restriction=name)
+            if decided[name]:
+                return RestrictionOutcome(name, True)
+            return fail("fails over the history lattice")
+        automaton = _automaton
+        if automaton is None:
+            from .automata import classify_restriction
+
+            automaton = classify_restriction(restriction)
+        if automaton.leaf_resolvable:
+            route[0] = "dfa"
+            if metrics is not None:
+                metrics.inc("checker.dfa_hits", 1, restriction=name)
+            if automaton.resolve_at_top(computation):
+                return RestrictionOutcome(name, True)
+            return fail("fails over the history lattice")
+        slicer = _slice
+        if slicer is None:
+            from .slice import SliceChecker
+
+            slicer = SliceChecker(computation)
+        analysis = slicer.analyze(restriction)
+        if analysis.verdict is not None:
+            route[0] = "slice"
+            if metrics is not None:
+                metrics.inc("checker.slice_hits", 1, restriction=name)
+            if analysis.verdict:
+                return RestrictionOutcome(name, True)
+            return fail("fails over the history lattice")
+        route[0] = "walk"
+        if metrics is not None:
+            metrics.inc("checker.slice_fallbacks", 1, restriction=name)
+        return None
 
     def decide() -> RestrictionOutcome:
         formula = restriction.formula
         temporal = formula.is_temporal()
         mode = temporal_mode
-        if temporal and decided is not None and restriction.name in decided:
-            dfa_state[0] = "dfa-early"
-            if metrics is not None:
-                metrics.inc("checker.dfa_early", 1,
-                            restriction=restriction.name)
-            if decided[restriction.name]:
-                return RestrictionOutcome(restriction.name, True)
-            # verdict semantically equal to the walk's; detail matches
-            # byte-for-byte and fail() re-derives witnesses/explanations
-            # through the interpreter, so diagnostics are route-invariant
-            return fail("fails over the history lattice")
-        if use_dfa and temporal and mode in ("compiled", "lattice"):
-            from .automata import classify_restriction
-
-            automaton = (_automata.automaton(restriction.name)
-                         if _automata is not None
-                         else classify_restriction(restriction))
-            if automaton is not None and automaton.leaf_resolvable:
-                dfa_state[0] = "dfa"
-                if metrics is not None:
-                    metrics.inc("checker.dfa_hits", 1,
-                                restriction=restriction.name)
-                if automaton.resolve_at_top(computation):
-                    return RestrictionOutcome(restriction.name, True)
-                return fail("fails over the history lattice")
-        if use_slice and temporal and mode in ("compiled", "lattice"):
-            from .slice import SliceChecker
-
-            slicer = _slice if _slice is not None else SliceChecker(
-                computation)
-            analysis = slicer.analyze(restriction)
-            if analysis.verdict is not None:
-                slice_state[0] = "slice"
-                if metrics is not None:
-                    metrics.inc("checker.slice_hits", 1,
-                                restriction=restriction.name)
-                if analysis.verdict:
-                    return RestrictionOutcome(restriction.name, True)
-                # same detail string as the walk: the slice decides the
-                # same branching semantics, and fail() re-derives
-                # witnesses/explanations through the interpreter
-                return fail("fails over the history lattice")
-            slice_state[0] = "walk"
-            if metrics is not None:
-                metrics.inc("checker.slice_fallbacks", 1,
-                            restriction=restriction.name)
+        if mode == "auto":
+            if temporal:
+                outcome = decide_early()
+                if outcome is not None:
+                    return outcome
+            mode = "compiled"
         if mode == "compiled":
             from .compile import bind_restriction
 
@@ -476,28 +498,23 @@ def check_restriction(
             if holds:
                 return RestrictionOutcome(restriction.name, True)
             return fail("fails over the history lattice")
-        if mode == "exact":
-            count = 0
-            for seq in maximal_history_sequences(computation, cap=vhs_cap,
-                                                 max_step=max_step):
-                count += 1
-                if not formula.holds_on(seq):
-                    return RestrictionOutcome(
-                        restriction.name, False,
-                        f"fails on vhs #{count} (steps: "
-                        f"{[sorted(map(str, h.events)) for h in seq]})")
-            if metrics is not None:
-                evals[0] = count
-            return RestrictionOutcome(restriction.name, True,
-                                      f"holds on all {count} maximal vhs")
-        raise SpecificationError(f"unknown temporal_mode {mode!r}")
+        # mode == "exact"
+        count = 0
+        for seq in maximal_history_sequences(computation, cap=vhs_cap,
+                                             max_step=max_step):
+            count += 1
+            if not formula.holds_on(seq):
+                return RestrictionOutcome(
+                    restriction.name, False,
+                    f"fails on vhs #{count} (steps: "
+                    f"{[sorted(map(str, h.events)) for h in seq]})")
+        if metrics is not None:
+            evals[0] = count
+        return RestrictionOutcome(restriction.name, True,
+                                  f"holds on all {count} maximal vhs")
 
     def stamp(outcome: RestrictionOutcome) -> RestrictionOutcome:
-        if dfa_state[0] and not outcome.provenance:
-            return replace(outcome, provenance=dfa_state[0])
-        if slice_state[0] and not outcome.provenance:
-            return replace(outcome, provenance=slice_state[0])
-        return outcome
+        return replace(outcome, provenance=route[0]) if route[0] else outcome
 
     if metrics is None and not tracing:
         return stamp(decide())
@@ -521,13 +538,11 @@ def check_restriction(
 def check_computation(
     computation: Computation,
     spec: Specification,
-    temporal_mode: str = "compiled",
+    temporal_mode: str = "auto",
     vhs_cap: int = DEFAULT_VHS_CAP,
     max_step: Optional[int] = 1,
     history_cap: int = DEFAULT_HISTORY_CAP,
     label_threads: bool = True,
-    use_slice: bool = False,
-    use_dfa: bool = False,
     decided: Optional[Dict[str, bool]] = None,
     metrics: Optional[object] = None,
     tracer: Optional[object] = None,
@@ -538,34 +553,34 @@ def check_computation(
     ``label_threads`` is false (pass false when the computation already
     carries labels you want preserved exactly).
 
-    In the default ``compiled`` mode the specification's restrictions
+    Under ``auto`` and ``compiled`` the specification's restrictions
     are compiled once (the per-spec analysis plan is cached on the spec
     instance, so engine workers inherit it across computations) and
     share one bitmask kernel per computation; restrictions the compiler
-    rejects fall back to the shared :class:`LatticeChecker`.
+    rejects fall back to the shared :class:`LatticeChecker`.  Under
+    ``auto`` one :class:`SliceChecker` per computation and the spec's
+    cached automata plan are shared the same way.
 
     ``metrics``/``tracer`` thread through to :func:`check_restriction`;
     the lattice size actually explored for this computation lands in
     the ``checker.lattice_histories`` histogram.
     """
+    auto = temporal_mode == "auto"
     result = CheckResult(spec.name)
     result.legality_violations = check_legality(computation, spec)
     labelled = spec.label_threads(computation) if label_threads else computation
     lattice = LatticeChecker(labelled, history_cap)
     compiled = None
-    if temporal_mode == "compiled":
+    if auto or temporal_mode == "compiled":
         from .compile import plan_for
 
         compiled = plan_for(spec).bind(labelled, history_cap)
-    slicer = None
-    if use_slice and temporal_mode in ("lattice", "compiled"):
+    slicer = automata = None
+    if auto:
+        from .automata import automata_plan_for
         from .slice import SliceChecker
 
         slicer = SliceChecker(labelled)
-    automata = None
-    if use_dfa and temporal_mode in ("lattice", "compiled"):
-        from .automata import automata_plan_for
-
         automata = automata_plan_for(spec)
     for restriction in spec.all_restrictions():
         result.outcomes.append(
@@ -576,14 +591,12 @@ def check_computation(
                 vhs_cap=vhs_cap,
                 max_step=max_step,
                 history_cap=history_cap,
-                use_slice=use_slice,
-                use_dfa=use_dfa,
                 decided=decided,
-                _lattice=lattice if temporal_mode in ("lattice", "compiled")
-                else None,
+                _lattice=lattice,
                 _compiled=compiled,
                 _slice=slicer,
-                _automata=automata,
+                _automaton=(automata.automaton(restriction.name)
+                            if automata is not None else None),
                 metrics=metrics,
                 tracer=tracer,
             )
@@ -595,18 +608,15 @@ def check_computation(
     result.dfa_hits = sum(
         1 for o in result.outcomes if o.provenance in ("dfa", "dfa-early"))
     if automata is not None:
-        from .automata import INERT
-
-        result.dfa_inert = sum(
-            1 for a in automata.automata.values() if a.kind == INERT)
+        result.dfa_inert = automata.inert
     if metrics is not None:
         metrics.inc("checker.computations")
-        if temporal_mode == "lattice":
-            metrics.observe("checker.lattice_histories",
-                            lattice.distinct_histories(), spec=spec.name)
-        elif temporal_mode == "compiled":
+        if compiled is not None:
             metrics.observe("checker.lattice_histories",
                             compiled.distinct_histories(), spec=spec.name)
+        elif temporal_mode == "lattice":
+            metrics.observe("checker.lattice_histories",
+                            lattice.distinct_histories(), spec=spec.name)
     return result
 
 

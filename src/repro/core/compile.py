@@ -39,7 +39,8 @@ The interpreter keeps its exact semantics and acts as the reference
 oracle; anything the compiler cannot express -- ``PyPred`` escape
 hatches, unknown ``Formula`` subclasses, unbound variables -- makes the
 whole restriction **fall back** to the interpreter (counted by the
-``checker.fallbacks`` metric), so ``temporal_mode="compiled"`` is
+``checker.fallbacks`` metric), so the compiled route (step 4 of the
+``auto`` chain, and ``temporal_mode="compiled"`` alone) is
 behaviour-preserving by construction: compiled restrictions are proven
 equivalent (see ``tests/test_compile.py`` and the ``compiled-differential``
 fuzz oracle), and everything else *is* the interpreter.
@@ -219,9 +220,9 @@ class CompiledSpec:
         if self.visited > self.cap:
             raise ComputationError(
                 f"compiled checker visited more than {self.cap} "
-                "(formula, history) pairs; raise history_cap, shrink the "
-                "computation, or leave slicing enabled (--slice) so regular "
-                "restrictions bypass the walk"
+                "(formula, history) pairs; raise history_cap or shrink the "
+                "computation (under temporal_mode=\"auto\" regular "
+                "restrictions are decided on the slice and bypass the walk)"
             )
 
     def addable(self, mask: int) -> int:

@@ -104,7 +104,13 @@ __all__ = [
 
 @dataclass
 class EngineConfig:
-    """Knobs for one engine instance (defaults match ``verify_program``)."""
+    """Knobs for one engine instance (defaults match ``verify_program``).
+
+    Which kernel decides a restriction is not a knob: every check takes
+    the checker's ``temporal_mode="auto"`` route chain (DFA leaf, slice,
+    compiled walk, interpreter), whose verdicts are byte-identical to
+    the single-route reference modes by construction and by test.
+    """
 
     jobs: int = 1
     cache_dir: Optional[str] = None
@@ -112,10 +118,6 @@ class EngineConfig:
     max_runs: int = DEFAULT_MAX_RUNS
     sample: int = 200
     seed: int = 0
-    #: "compiled" (default: bitmask-compiled restrictions with the
-    #: interpreter as fallback), "lattice" (pure interpreter -- the
-    #: ``--no-compile`` escape hatch) or "exact" (vhs enumeration)
-    temporal_mode: str = "compiled"
     allow_deadlock: bool = False
     #: partial-order reduction (:mod:`repro.engine.por`): expand only an
     #: ample subset of enabled actions at each branch point.  Default on;
@@ -123,19 +125,11 @@ class EngineConfig:
     #: witnesses are identical either way on untruncated exploration --
     #: the reduced run census is just smaller)
     por: bool = True
-    #: computation slicing (:mod:`repro.core.slice`): decide regular
-    #: temporal restrictions exactly on the join-closed sublattice of
-    #: satisfying cuts instead of walking the history lattice.  Default
-    #: on; ``--no-slice`` turns it off (verdicts and details are
-    #: identical either way -- non-regular shapes fall back to the walk)
-    slice: bool = True
-    #: restriction automata (:mod:`repro.core.automata`): compile
-    #: temporal restrictions to DFAs over the event alphabet, resolve
-    #: leaf-eligible checks by automaton, and monitor exploration
-    #: prefixes so doomed branches record early verdicts.  Default on;
-    #: ``--no-dfa`` turns it off (fingerprint sets, verdicts and
-    #: witnesses are byte-identical either way -- non-regular shapes are
-    #: dfa-inert and always take the ordinary route)
+    #: exploration-time restriction automata (:mod:`repro.core.automata`):
+    #: monitor exploration prefixes so doomed branches record early
+    #: verdicts and their checks skip the walk.  Default on; ``--no-dfa``
+    #: turns the monitor off (fingerprint sets, verdicts and witnesses
+    #: are byte-identical either way)
     dfa: bool = True
     #: target shards per worker; >1 absorbs uneven subtree sizes
     shard_factor: int = 4
@@ -190,7 +184,6 @@ class Engine:
         with PhaseTimer(stats, "cache-load", self._progress, self._tracer):
             key = spec_cache_key(
                 problem_spec, correspondence, program_spec,
-                cfg.temporal_mode,
                 history_cap=(cfg.history_cap
                              if cfg.history_cap != DEFAULT_HISTORY_CAP
                              else None))
@@ -364,7 +357,6 @@ class Engine:
         tracer = self._tracer
         stats = EngineStats()
         stats.por_enabled = cfg.por
-        stats.slice_enabled = cfg.slice
         stats.dfa_enabled = cfg.dfa
         with tracer.span("verify", attrs={"problem": problem_spec.name},
                          meta={"jobs": cfg.jobs}) as root:
@@ -376,13 +368,11 @@ class Engine:
                 problem_spec=problem_spec,
                 correspondence=correspondence,
                 program_spec=program_spec,
-                temporal_mode=cfg.temporal_mode,
                 max_steps=cfg.max_steps,
                 max_runs=cfg.max_runs,
                 cache_snapshot=snapshot,
                 trace=tracer.enabled,
                 por=cfg.por,
-                slice=cfg.slice,
                 dfa=cfg.dfa,
                 history_cap=cfg.history_cap,
                 case_ref=cfg.case_ref,

@@ -14,10 +14,12 @@ An entry is keyed by the pair
 where the *specification key* digests every declarative input that a
 verdict depends on: the problem specification's restrictions (name +
 formula text), elements and groups, the correspondence rules, the
-program specification (if any), and the temporal mode.  Routing
-accelerators (slice, DFA) never participate: their verdicts are
-byte-identical to the walk's, so entries are shared across
-``--slice``/``--dfa`` settings by design.  Each
+program specification (if any) and an overridden history cap.  The
+checking route never participates: the engine always checks through
+the ``auto`` route chain, whose verdicts are byte-identical to every
+single-route reference mode, and the exploration monitor
+(``--dfa``/``--no-dfa``) only skips checks, so entries are shared
+across those settings by design.  Each
 specification key gets its own JSON file in the cache directory, so
 unrelated workloads never collide and invalidation is per-workload.
 
@@ -26,8 +28,8 @@ Invalidation
 Versioned: every file records :data:`CACHE_FORMAT_VERSION` and its own
 specification key; a mismatch on either (format change, or a hash
 collision in the filename) discards the file wholesale.  Changing any
-restriction formula, correspondence rule, or the temporal mode changes
-the specification key and therefore simply misses the old file.
+restriction formula or correspondence rule changes the specification
+key and therefore simply misses the old file.
 
 Honesty caveat: callables embedded in specifications (correspondence
 ``where``/``params`` functions, ``PyPred`` leaves) contribute only
@@ -60,7 +62,8 @@ from ..verify.correspondence import Correspondence
 #: Bump to invalidate every existing cache file (semantic change in
 #: what an outcome record means or how keys are derived).
 #: v2: outcomes carry slice provenance counters.
-CACHE_FORMAT_VERSION = 2
+#: v3: keys drop the temporal mode (the engine has one checking route).
+CACHE_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,6 @@ def spec_cache_key(
     problem_spec: Specification,
     correspondence: Correspondence,
     program_spec: Optional[Specification] = None,
-    temporal_mode: str = "lattice",
     history_cap: Optional[int] = None,
 ) -> str:
     """Digest of every declarative input a cached verdict depends on.
@@ -147,7 +149,7 @@ def spec_cache_key(
     tighter cap can turn a computable verdict into a cap error, so
     capped and uncapped workloads must not share entries.
     """
-    parts = [f"format:{CACHE_FORMAT_VERSION}", f"mode:{temporal_mode}"]
+    parts = [f"format:{CACHE_FORMAT_VERSION}"]
     if history_cap is not None:
         parts.append(f"history_cap:{history_cap}")
     parts.extend(_spec_parts(problem_spec))

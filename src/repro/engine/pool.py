@@ -110,13 +110,14 @@ class TaskResult:
     por_proviso_expansions: int = 0
     #: slice-routing counters summed over this task's *fresh* outcomes
     #: (cached outcomes keep the provenance of the run that computed
-    #: them); both zero with slicing off
+    #: them)
     slice_hits: int = 0
     slice_fallbacks: int = 0
     #: automaton-monitor counters for this task's exploration (guard
     #: probes, rejecting/accepting sinks reached) plus DFA-routing
     #: tallies over fresh outcomes (hits summed; inert is a per-plan
-    #: property, so the max, not the sum); all zero with --no-dfa
+    #: property, so the max, not the sum); the monitor counters are
+    #: zero with --no-dfa
     dfa_probes: int = 0
     dfa_cuts: int = 0
     dfa_accepts: int = 0
@@ -146,21 +147,18 @@ class CaseRef:
     case: Optional[str] = None
     mutant: bool = False
     inline: Optional[Tuple] = None  # (procs, deps, bug)
-    temporal_mode: str = "compiled"
     max_steps: int = 10_000
     max_runs: int = 100_000
     history_cap: int = DEFAULT_HISTORY_CAP
     por: bool = True
-    slice: bool = True
     dfa: bool = True
     trace: bool = False
 
     def state_key(self) -> str:
         """Memo key: two refs with equal keys build equivalent states."""
         return repr((self.case, self.mutant, self.inline,
-                     self.temporal_mode, self.max_steps, self.max_runs,
-                     self.history_cap, self.por, self.slice, self.dfa,
-                     self.trace))
+                     self.max_steps, self.max_runs, self.history_cap,
+                     self.por, self.dfa, self.trace))
 
     def build_objects(self) -> Tuple[Program, Specification, Correspondence,
                                      Optional[Specification]]:
@@ -186,10 +184,9 @@ class CaseRef:
         program, spec, corr, pspec = self.build_objects()
         return WorkerState(
             program, spec, corr, pspec,
-            temporal_mode=self.temporal_mode,
             max_steps=self.max_steps, max_runs=self.max_runs,
-            trace=self.trace, por=self.por, slice=self.slice,
-            dfa=self.dfa, history_cap=self.history_cap, case_ref=self,
+            trace=self.trace, por=self.por, dfa=self.dfa,
+            history_cap=self.history_cap, case_ref=self,
         )
 
 
@@ -207,13 +204,11 @@ class WorkerState:
         problem_spec: Specification,
         correspondence: Correspondence,
         program_spec: Optional[Specification],
-        temporal_mode: str,
         max_steps: int,
         max_runs: int,
         cache_snapshot: Optional[Dict[str, CheckOutcome]] = None,
         trace: bool = False,
         por: bool = True,
-        slice: bool = True,
         dfa: bool = True,
         history_cap: int = DEFAULT_HISTORY_CAP,
         case_ref: Optional[CaseRef] = None,
@@ -222,7 +217,6 @@ class WorkerState:
         self.problem_spec = problem_spec
         self.correspondence = correspondence
         self.program_spec = program_spec
-        self.temporal_mode = temporal_mode
         self.max_steps = max_steps
         self.max_runs = max_runs
         self.history_cap = history_cap
@@ -230,10 +224,8 @@ class WorkerState:
         self.trace = trace
         #: when set, explore tasks apply partial-order reduction
         self.por = por
-        #: when set, checks route regular restrictions through the slice
-        self.slice = slice
-        #: when set, temporal restrictions route through compiled
-        #: restriction automata (leaf resolution + prefix monitoring)
+        #: when set, explore tasks thread an automaton monitor through
+        #: the DFS (:meth:`make_monitor`)
         self.dfa = dfa
         #: resident-mode rebuild recipe (None on the one-shot path)
         self.case_ref = case_ref
@@ -245,31 +237,25 @@ class WorkerState:
         self.seed_gen = 0
         # per-process memo: forked children each mutate their own copy
         self.index = DedupeIndex(seed=self.cache_snapshot)
-        if temporal_mode == "compiled":
-            # prime the per-spec compilation plans (AST analysis) before
-            # any task runs: on the one-shot path this happens in the
-            # parent pre-fork so every worker inherits them; on the
-            # resident path it happens once per worker per state key
-            from ..core.compile import plan_for
+        # prime the per-spec compilation and automata plans (AST
+        # analysis) before any task runs: on the one-shot path this
+        # happens in the parent pre-fork so every worker inherits them;
+        # on the resident path it happens once per worker per state key
+        from ..core.automata import automata_plan_for
+        from ..core.compile import plan_for
 
-            plan_for(problem_spec)
-            if program_spec is not None:
-                plan_for(program_spec)
-        if dfa and temporal_mode in ("compiled", "lattice"):
-            # same pre-fork/per-key priming story for automata plans
-            from ..core.automata import automata_plan_for
-
-            automata_plan_for(problem_spec)
-            if program_spec is not None:
-                automata_plan_for(program_spec)
+        for spec in (problem_spec, program_spec):
+            if spec is not None:
+                plan_for(spec)
+                automata_plan_for(spec)
 
     def make_monitor(self):
         """A fresh per-task :class:`AutomatonMonitor`, or ``None``.
 
-        ``None`` when the DFA route is off, the temporal mode is not
-        automaton-eligible, or no restriction compiled to a monitorable
-        automaton (the monitor would only burn probe budget)."""
-        if not self.dfa or self.temporal_mode not in ("compiled", "lattice"):
+        ``None`` when the monitor is off, or no restriction compiled to
+        a monitorable automaton (the monitor would only burn probe
+        budget)."""
+        if not self.dfa:
             return None
         from ..core.automata import AutomatonMonitor, automata_plan_for
 
@@ -278,7 +264,7 @@ class WorkerState:
             return None
         return AutomatonMonitor(
             plan, self.problem_spec, correspondence=self.correspondence,
-            temporal_mode=self.temporal_mode, history_cap=self.history_cap)
+            history_cap=self.history_cap)
 
     def compute_outcome(self, run: Run,
                         metrics: Optional[MetricsRegistry] = None
@@ -290,9 +276,7 @@ class WorkerState:
         dfa_hits = dfa_inert = 0
         if self.program_spec is not None:
             pres = self.program_spec.check(
-                comp, temporal_mode=self.temporal_mode,
-                history_cap=self.history_cap,
-                use_slice=self.slice, use_dfa=self.dfa, metrics=metrics)
+                comp, history_cap=self.history_cap, metrics=metrics)
             program_spec_ok = pres.ok
             slice_hits += pres.slice_hits
             slice_fallbacks += pres.slice_fallbacks
@@ -303,9 +287,8 @@ class WorkerState:
         # run, so they apply to the problem-spec check only
         decided = dict(run.decided) if run.decided else None
         result = self.problem_spec.check(
-            projected, temporal_mode=self.temporal_mode,
-            history_cap=self.history_cap, use_slice=self.slice,
-            use_dfa=self.dfa, decided=decided, metrics=metrics)
+            projected, history_cap=self.history_cap, decided=decided,
+            metrics=metrics)
         return CheckOutcome(
             failed_restrictions=tuple(result.failed_restrictions()),
             legality_ok=not result.legality_violations,

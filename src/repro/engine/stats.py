@@ -158,14 +158,6 @@ class EngineStats:
         self.metrics.set("engine.por_enabled", 1 if value else 0)
 
     @property
-    def slice_enabled(self) -> bool:
-        return bool(self.metrics.get("engine.slice_enabled"))
-
-    @slice_enabled.setter
-    def slice_enabled(self, value: bool) -> None:
-        self.metrics.set("engine.slice_enabled", 1 if value else 0)
-
-    @property
     def dfa_enabled(self) -> bool:
         return bool(self.metrics.get("engine.dfa_enabled"))
 
@@ -225,14 +217,13 @@ class EngineStats:
              f"point(s), {self.por_proviso_expansions} proviso "
              "expansion(s)") if self.por_enabled else "  por: disabled",
             (f"  slice: {self.slice_hits} check(s) slice-exact, "
-             f"{self.slice_fallbacks} walk-sampled fallback(s)")
-            if self.slice_enabled else "  slice: disabled",
-            (f"  dfa: {self.dfa_cuts} branch(es) cut early, "
-             f"{self.dfa_accepts} satisfied early "
-             f"({self.dfa_probes} probe(s)), {self.dfa_hits} check(s) "
-             f"automaton-resolved, {self.dfa_inert} restriction(s) "
-             "dfa-inert")
-            if self.dfa_enabled else "  dfa: disabled",
+             f"{self.slice_fallbacks} walk-sampled fallback(s)"),
+            ((f"  dfa: {self.dfa_cuts} branch(es) cut early, "
+              f"{self.dfa_accepts} satisfied early "
+              f"({self.dfa_probes} probe(s)), ")
+             if self.dfa_enabled else "  dfa: monitor disabled, ")
+            + (f"{self.dfa_hits} check(s) automaton-resolved, "
+               f"{self.dfa_inert} restriction(s) dfa-inert"),
             f"  throughput: {self.runs_per_second:.1f} runs/s",
         ]
         phases = ", ".join(

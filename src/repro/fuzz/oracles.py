@@ -351,31 +351,41 @@ def check_slice_agrees(
     vhs_cap: int = 50_000,
     slice_check=None,
 ) -> Optional[str]:
-    """Differential oracle: slice-routed vs lattice vs exact checking.
+    """Differential oracle: the ``auto`` route and the bare slice vs
+    lattice vs exact checking.
 
-    Computation slicing (:mod:`repro.core.slice`) decides regular
-    temporal restrictions on the join-closed sublattice of satisfying
-    cuts instead of walking the history lattice; its verdict *and
-    detail string* must equal the interpreter's on every shape it
-    accepts (non-regular shapes fall back to the walk, which agrees
-    trivially), and both must agree with exhaustive vhs enumeration.
-    ``slice_check`` is injectable for mutant seeding (a deliberately
-    broken slice evaluator must be caught by this oracle).
+    Two things are compared against the interpreter and exhaustive vhs
+    enumeration.  The production ``auto`` outcome must equal the
+    interpreter's *verdict and detail string* whichever route decided
+    it.  Since the DFA leaf runs before the slice in that chain, the
+    bare :meth:`repro.core.slice.SliceChecker.analyze` verdict is also
+    checked on its own whenever the slice decides (regular and linear
+    shapes; it declines the rest).  ``slice_check`` is injectable for
+    mutant seeding: it replaces the ``auto`` check, and a deliberately
+    broken evaluator there must be caught by this oracle.
     """
-    impl = slice_check or (lambda c, r: check_restriction(
-        c, r, temporal_mode="lattice", use_slice=True))
+    from ..core.slice import SliceChecker
+
+    impl = slice_check or check_restriction
     lattice = check_restriction(comp, restriction, temporal_mode="lattice")
-    sliced = impl(comp, restriction)
-    if (lattice.holds, lattice.detail) != (sliced.holds, sliced.detail):
-        return (f"slice checker disagrees with interpreter on "
-                f"{restriction.name!r}: slice=({sliced.holds}, "
-                f"{sliced.detail!r}) lattice=({lattice.holds}, "
+    routed = impl(comp, restriction)
+    if (lattice.holds, lattice.detail) != (routed.holds, routed.detail):
+        return (f"auto route disagrees with interpreter on "
+                f"{restriction.name!r}: auto=({routed.holds}, "
+                f"{routed.detail!r}) lattice=({lattice.holds}, "
                 f"{lattice.detail!r}) ({restriction.formula.describe()})")
+    sliced = (SliceChecker(comp).analyze(restriction).verdict
+              if restriction.formula.is_temporal() else None)
+    if sliced is not None and sliced != lattice.holds:
+        return (f"slice checker disagrees with interpreter on "
+                f"{restriction.name!r}: slice={sliced} "
+                f"lattice={lattice.holds} "
+                f"({restriction.formula.describe()})")
     exact = check_restriction(comp, restriction, temporal_mode="exact",
                               vhs_cap=vhs_cap)
-    if sliced.holds != exact.holds:
-        return (f"slice checker disagrees with exact enumeration on "
-                f"{restriction.name!r}: slice={sliced.holds} "
+    if routed.holds != exact.holds:
+        return (f"auto route disagrees with exact enumeration on "
+                f"{restriction.name!r}: auto={routed.holds} "
                 f"exact={exact.holds} ({restriction.formula.describe()})")
     return None
 
@@ -395,9 +405,9 @@ def check_dfa_agrees(
     unmonitored one's; (2) every verdict the monitor decides on a
     *prefix* equals the ground-truth lattice verdict on the completed
     computation (box-reject prefixes stay violating in every
-    completion, dia-accept prefixes stay satisfied); and (3) routing
-    the checker through the automata (``use_dfa`` plus the recorded
-    early verdicts) reproduces the plain checker's per-restriction
+    completion, dia-accept prefixes stay satisfied); and (3) the
+    ``auto`` checker fed the recorded early verdicts reproduces the
+    single-route ``temporal_mode="compiled"`` checker's per-restriction
     verdicts exactly.
 
     Runs over :func:`dfa_problem_spec` -- the fuzz spec extended with a
@@ -438,7 +448,7 @@ def check_dfa_agrees(
             truth = {o.name: o.holds for o in check_computation(
                 comp, problem_spec, temporal_mode="lattice").outcomes}
             base = {o.name: o.holds for o in check_computation(
-                comp, problem_spec).outcomes}
+                comp, problem_spec, temporal_mode="compiled").outcomes}
             cached = verdicts_by_fp[fp] = (truth, base)
         truth, base = cached
         for name, holds in run.decided:
@@ -447,11 +457,10 @@ def check_dfa_agrees(
                         f"run {run.choices} but the completed computation "
                         f"says {truth.get(name)}")
         routed = {o.name: o.holds for o in check_computation(
-            comp, problem_spec, use_dfa=True,
-            decided=dict(run.decided)).outcomes}
+            comp, problem_spec, decided=dict(run.decided)).outcomes}
         if routed != base:
             return (f"dfa-routed checker disagrees on run {run.choices}: "
-                    f"{routed} with the automata vs {base} without")
+                    f"{routed} on the auto route vs {base} compiled")
     return None
 
 
@@ -964,8 +973,8 @@ def make_oracles(jobs: int = 2) -> Dict[str, Oracle]:
         ),
         Oracle(
             "slice-differential",
-            "slice-routed checker == lattice interpreter == exact "
-            "enumeration",
+            "auto-route checker and bare slice == lattice interpreter "
+            "== exact enumeration",
             gen_checker,
             lambda art: check_slice_agrees(
                 (comp := art.recipe.build()), art.restriction(comp)),
@@ -974,7 +983,7 @@ def make_oracles(jobs: int = 2) -> Dict[str, Oracle]:
         Oracle(
             "dfa-differential",
             "automaton monitor: exploration unperturbed, early verdicts "
-            "== completed-computation verdicts, dfa routing == plain",
+            "== completed-computation verdicts, auto routing == compiled",
             gen_engine,
             check_dfa_agrees,
             lambda spec: spec.shrink_candidates(),

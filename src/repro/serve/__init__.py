@@ -30,7 +30,8 @@ The daemon's catalog *is* the CLI catalog
 (:func:`repro.cli.case_catalog`), and reports are produced by the same
 engine code path as ``repro verify`` -- report signatures are
 byte-identical between the two for every case and every ``--jobs``
-setting (asserted in ``tests/test_serve.py`` and CI's serve-smoke job).
+setting (asserted in ``tests/test_serve.py`` and the serve step of
+CI's smoke job).
 
 API summary (all request/response bodies JSON)::
 

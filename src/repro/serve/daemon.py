@@ -154,9 +154,8 @@ class VerificationService:
             self.history.record(
                 source="serve",
                 case=spec.case if spec.case else "inline",
-                flags={"jobs": spec.jobs, "por": spec.por,
-                       "slice": spec.slice, "dfa": spec.dfa,
-                       "compile": spec.compile, "mutant": spec.mutant},
+                flags={"jobs": spec.jobs, "por": spec.por, "dfa": spec.dfa,
+                       "mutant": spec.mutant},
                 ok=ok, mode=mode, signature=signature, wall_s=wall_s,
                 stats=stats)
         except Exception as exc:  # noqa: BLE001 - history is best-effort
@@ -214,9 +213,7 @@ class VerificationService:
 
         config = EngineConfig(
             jobs=spec.jobs,
-            temporal_mode=spec.temporal_mode,
             por=spec.por,
-            slice=spec.slice,
             dfa=spec.dfa,
             history_cap=spec.history_cap,
             max_steps=spec.max_steps,

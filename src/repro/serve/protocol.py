@@ -1,7 +1,7 @@
 """Request/response shapes for the serve API.
 
 The wire format is deliberately thin: a *job spec* is the JSON mirror
-of the ``repro verify`` flag set (case + mutant + jobs + por + compile
+of the ``repro verify`` flag set (case + mutant + jobs + por + dfa
 + history_cap + bounds), or an ``inline`` fuzz-program payload for
 workloads that are not in the catalog.  Parsing is strict -- unknown
 keys and out-of-domain values are :class:`ProtocolError`\\ s, not
@@ -30,8 +30,8 @@ class ProtocolError(ValueError):
 
 #: Keys accepted in a job-spec JSON object.
 _SPEC_KEYS = frozenset({
-    "case", "mutant", "inline", "jobs", "por", "slice", "dfa", "compile",
-    "history_cap", "max_steps", "max_runs",
+    "case", "mutant", "inline", "jobs", "por", "dfa", "history_cap",
+    "max_steps", "max_runs",
 })
 
 
@@ -39,14 +39,13 @@ _SPEC_KEYS = frozenset({
 class JobSpec:
     """One validated verification request.
 
-    Mirrors the ``repro verify`` CLI surface: ``compile=False`` is
-    ``--no-compile`` (lattice interpreter), ``por=False`` is
-    ``--no-por``, ``slice=False`` is ``--no-slice`` (walk the history
-    lattice for every temporal check), ``dfa=False`` is ``--no-dfa``
-    (no restriction automata), ``jobs`` caps the worker
-    fan-out *for this job* (the
-    resident pool is shared, so this bounds shard parallelism, not
-    processes).  ``inline`` carries a fuzz-program payload
+    Mirrors the ``repro verify`` CLI surface: ``por=False`` is
+    ``--no-por``, ``dfa=False`` is ``--no-dfa`` (no exploration-time
+    automaton monitor), ``jobs`` caps the worker fan-out *for this job*
+    (the resident pool is shared, so this bounds shard parallelism, not
+    processes).  Checks always take the checker's ``auto`` route
+    chain, so there is no key selecting a checking route.  ``inline``
+    carries a fuzz-program payload
     ``{"procs": [...], "deps": [[...], ...], "bug": str|null}`` for
     catalog-free verification.
     """
@@ -56,16 +55,10 @@ class JobSpec:
     inline: Optional[Tuple] = None
     jobs: int = 1
     por: bool = True
-    slice: bool = True
     dfa: bool = True
-    compile: bool = True
     history_cap: int = DEFAULT_HISTORY_CAP
     max_steps: int = DEFAULT_MAX_STEPS
     max_runs: int = DEFAULT_MAX_RUNS
-
-    @property
-    def temporal_mode(self) -> str:
-        return "compiled" if self.compile else "lattice"
 
     def case_ref(self) -> CaseRef:
         """The resident-pool rebuild recipe for this spec.
@@ -76,10 +69,9 @@ class JobSpec:
         """
         return CaseRef(
             case=self.case, mutant=self.mutant, inline=self.inline,
-            temporal_mode=self.temporal_mode,
             max_steps=self.max_steps, max_runs=self.max_runs,
-            history_cap=self.history_cap, por=self.por, slice=self.slice,
-            dfa=self.dfa, trace=True,
+            history_cap=self.history_cap, por=self.por, dfa=self.dfa,
+            trace=True,
         )
 
     def describe(self) -> str:
@@ -90,12 +82,8 @@ class JobSpec:
             flags.append("mutant")
         if not self.por:
             flags.append("no-por")
-        if not self.slice:
-            flags.append("no-slice")
         if not self.dfa:
             flags.append("no-dfa")
-        if not self.compile:
-            flags.append("no-compile")
         if self.jobs != 1:
             flags.append(f"jobs={self.jobs}")
         return name + (f" [{','.join(flags)}]" if flags else "")
@@ -103,7 +91,7 @@ class JobSpec:
     def to_json(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
             "mutant": self.mutant, "jobs": self.jobs, "por": self.por,
-            "slice": self.slice, "dfa": self.dfa, "compile": self.compile,
+            "dfa": self.dfa,
         }
         if self.case is not None:
             out["case"] = self.case
@@ -186,9 +174,7 @@ def parse_job_spec(payload: Any,
         inline=_parse_inline(inline) if inline is not None else None,
         jobs=_int("jobs", 1, 1),
         por=_bool("por", True),
-        slice=_bool("slice", True),
         dfa=_bool("dfa", True),
-        compile=_bool("compile", True),
         history_cap=_int("history_cap", DEFAULT_HISTORY_CAP, 1),
         max_steps=_int("max_steps", DEFAULT_MAX_STEPS, 1),
         max_runs=_int("max_runs", DEFAULT_MAX_RUNS, 1),

@@ -168,14 +168,12 @@ def verify_program(
     sample: int = 200,
     seed: int = 0,
     allow_deadlock: bool = False,
-    temporal_mode: str = "compiled",
     exploration: Optional[ExplorationResult] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     progress=None,
     tracer=None,
     por: bool = True,
-    slice: bool = True,
     dfa: bool = True,
 ) -> VerificationReport:
     """The paper's proof obligation, executed by :mod:`repro.engine`.
@@ -192,19 +190,16 @@ def verify_program(
     are pruned at generation time, preserving the fingerprint set,
     every verdict and every witness; the CLI's ``--no-por`` turns it
     off (run indices and censuses then count all interleavings).
-    ``slice`` (default on) enables computation slicing
-    (:mod:`repro.core.slice`): regular temporal restrictions are
-    decided exactly on the join-closed sublattice of satisfying cuts
-    instead of walking the history lattice; non-regular shapes fall
-    back to the walk, so verdicts and details are identical either
-    way.  The CLI's ``--no-slice`` turns it off.
-    ``dfa`` (default on) enables restriction automata
-    (:mod:`repro.core.automata`): temporal restrictions compile to DFAs
-    over the event alphabet, leaf-eligible checks are resolved by
-    automaton, and exploration prefixes are monitored so doomed
-    branches record their verdicts early.  Fingerprint sets, verdicts
-    and witnesses are byte-identical either way; the CLI's ``--no-dfa``
-    turns it off.
+    ``dfa`` (default on) threads the restriction-automata monitor
+    (:mod:`repro.core.automata`) through exploration, so doomed
+    branches record their verdicts early and their checks skip the
+    walk.  Fingerprint sets, verdicts and witnesses are byte-identical
+    either way; the CLI's ``--no-dfa`` turns it off.
+
+    Every distinct computation is checked through the checker's
+    ``temporal_mode="auto"`` route chain (DFA leaf, slice, compiled
+    walk, interpreter); which route decides is not part of the
+    verdict, so there is no switch for it here.
 
     Pass ``exploration`` to reuse runs already gathered (e.g. when
     verifying one program against several problem variants).
@@ -220,12 +215,10 @@ def verify_program(
         max_runs=max_runs,
         sample=sample,
         seed=seed,
-        temporal_mode=temporal_mode,
         allow_deadlock=allow_deadlock,
         progress=progress,
         tracer=tracer,
         por=por,
-        slice=slice,
         dfa=dfa,
     )
     return Engine(config).verify(

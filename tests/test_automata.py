@@ -208,9 +208,25 @@ class TestProbeAndMonitor:
         over, = explore(RingProgram(workers=1, rounds=3))
         under, = explore(RingProgram(workers=1, rounds=2))
         assert automaton.probe(labelled(spec, over.computation),
-                               "compiled", 2_000_000) is False
+                               2_000_000) is False
         assert automaton.probe(labelled(spec, under.computation),
-                               "compiled", 2_000_000) is None
+                               2_000_000) is None
+
+    def test_probe_does_not_reclassify(self, monkeypatch):
+        """The guard hands its own automaton to the check, so the
+        restriction is classified once per plan, never per probe."""
+        import repro.core.automata as automata
+
+        spec = ring_spec()
+        automaton = automata_plan_for(spec).automaton("ring-mark-budget")
+        over, = explore(RingProgram(workers=1, rounds=3))
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("probe re-classified its restriction")
+
+        monkeypatch.setattr(automata, "classify_restriction", refuse)
+        assert automaton.probe(labelled(spec, over.computation),
+                               2_000_000) is False
 
     def test_monitor_is_a_pure_observer(self):
         """Law zero: the census with the monitor is byte-identical."""
@@ -243,9 +259,10 @@ class TestProbeAndMonitor:
         spec = ring_spec()
         run = next(iter(explore(RingProgram(workers=2, rounds=3),
                                 dfa=ring_monitor(spec))))
-        routed = check_computation(run.computation, spec, use_dfa=True,
+        routed = check_computation(run.computation, spec,
                                    decided=dict(run.decided))
-        plain = check_computation(run.computation, spec)
+        plain = check_computation(run.computation, spec,
+                                  temporal_mode="compiled")
         assert not routed.ok and not plain.ok
         assert routed.dfa_hits == 1
         assert [(o.name, o.holds) for o in routed.outcomes] == (

@@ -91,13 +91,13 @@ class TestPorFlag:
     def test_flag_matrix_is_byte_identical(self, capsys):
         # CASE's eager exploration is already canonical (runs ==
         # distinct computations), so a sound POR prunes nothing there:
-        # every combination of --por/--no-por, --no-compile and --jobs
+        # every combination of --por/--no-por, --dfa/--no-dfa and --jobs
         # must print the exact same report
         outputs = set()
         for por in (["--por"], ["--no-por"]):
-            for compile_ in ([], ["--no-compile"]):
+            for dfa in (["--dfa"], ["--no-dfa"]):
                 for jobs in (["--jobs", "1"], ["--jobs", "4"]):
-                    argv = ["verify", CASE, *por, *compile_, *jobs]
+                    argv = ["verify", CASE, *por, *dfa, *jobs]
                     assert main(argv) == 0
                     outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1

@@ -113,25 +113,38 @@ class TestDifferential:
 
     def test_fork_drops_enables_mutant_caught_identically(self):
         """The planted fork-drops-enables mutant perturbs computations
-        built in forked workers; compiled and interpreted engine runs
-        must still produce signature-identical reports (whatever the
-        mutant does, it cannot open daylight between the modes)."""
+        built in forked workers; whatever it does, it cannot open
+        daylight between the checking routes -- on the computations
+        its program builds, and through a forked engine run with the
+        exploration monitor on or off."""
+        from itertools import islice
+
         from repro.engine import EngineConfig, run_verification
+        from repro.sim.scheduler import explore
+        from repro.verify.projection import project
 
         rng = random.Random(7)
         spec = random_program_spec(rng, bug=FORK_DROPS_ENABLES)
         problem_spec = fuzz_problem_spec(spec)
         correspondence = fuzz_correspondence(spec)
 
-        def signature(mode):
+        for run in islice(explore(FuzzProgram(spec), max_steps=48), 32):
+            comp = project(run.computation, correspondence)
+            by_mode = [
+                [(o.name, o.holds, o.detail) for o in problem_spec.check(
+                    comp, temporal_mode=mode).outcomes]
+                for mode in ("auto", "compiled", "lattice")]
+            assert by_mode[0] == by_mode[1] == by_mode[2]
+
+        def signature(dfa):
             config = EngineConfig(jobs=2, max_steps=48, max_runs=256,
-                                  temporal_mode=mode)
+                                  dfa=dfa)
             report, _stats = run_verification(
                 FuzzProgram(spec), problem_spec, correspondence,
                 config=config)
             return report.signature()
 
-        assert signature("compiled") == signature("lattice")
+        assert signature(True) == signature(False)
 
 
 class TestDiagnosticParity:
@@ -226,7 +239,7 @@ class TestFallbackAndMetrics:
                 Implies(Occurred("w"),
                         Exists("f", "Fork", Occurred("f")))))),
         )
-        compiled = check_computation(comp, spec)  # compiled is the default
+        compiled = check_computation(comp, spec, temporal_mode="compiled")
         lattice = check_computation(comp, spec, temporal_mode="lattice")
         assert ([(o.name, o.holds, o.detail) for o in compiled.outcomes]
                 == [(o.name, o.holds, o.detail) for o in lattice.outcomes])

@@ -203,7 +203,7 @@ class TestResultCache:
         key = spec_cache_key(spec, corr, pspec)
         assert key == spec_cache_key(spec, corr, pspec)  # deterministic
         assert key != spec_cache_key(spec, corr, None)
-        assert key != spec_cache_key(spec, corr, pspec, temporal_mode="exact")
+        assert key != spec_cache_key(spec, corr, pspec, history_cap=1)
         assert key != spec_cache_key(NOOP_SPEC, corr, pspec)
 
     def test_warm_cache_skips_every_check(self, tmp_path):

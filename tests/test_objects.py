@@ -237,14 +237,14 @@ class TestCrossModeMatrix:
     @pytest.mark.slow
     @pytest.mark.parametrize("object_type", MATRIX_CASES)
     def test_flag_matrix_signatures_identical(self, object_type):
-        """--por/--no-por x --dfa/--no-dfa x --slice/--no-slice x
-        --jobs 1/4: one signature."""
+        """--por/--no-por x --dfa/--no-dfa x --jobs 1/4: one
+        signature."""
         program, spec, corr, _ = object_case(object_type)
         signatures = set()
-        for por, dfa, slc, jobs in itertools.product(
-                (True, False), (True, False), (True, False), (1, 4)):
+        for por, dfa, jobs in itertools.product(
+                (True, False), (True, False), (1, 4)):
             report = verify_program(program, spec, corr, por=por,
-                                    dfa=dfa, slice=slc, jobs=jobs)
+                                    dfa=dfa, jobs=jobs)
             signatures.add(json.dumps(signature_json(report.signature())))
         assert len(signatures) == 1
 
@@ -253,8 +253,7 @@ class TestCrossModeMatrix:
         """Tier-1 subset of the matrix: the two all-on/all-off corners."""
         program, spec, corr, _ = object_case(object_type)
         on = verify_program(program, spec, corr)
-        off = verify_program(program, spec, corr, por=False, dfa=False,
-                             slice=False)
+        off = verify_program(program, spec, corr, por=False, dfa=False)
         assert on.signature() == off.signature()
 
     @pytest.mark.slow

@@ -34,17 +34,15 @@ class TestProtocol:
         spec = parse_job_spec({"case": "monitor-bounded-buffer"})
         assert spec.case == "monitor-bounded-buffer"
         assert not spec.mutant
-        assert spec.jobs == 1 and spec.por and spec.compile
-        assert spec.slice  # computation slicing is on by default
-        assert spec.temporal_mode == "compiled"
+        assert spec.jobs == 1 and spec.por and spec.dfa
 
     def test_flags_mirror_verify_cli(self):
         spec = parse_job_spec({"case": "db_update", "mutant": True,
-                               "jobs": 4, "por": False, "compile": False,
+                               "jobs": 4, "por": False, "dfa": False,
                                "history_cap": 1000})
         assert spec.mutant and spec.jobs == 4
         assert not spec.por
-        assert spec.temporal_mode == "lattice"
+        assert not spec.dfa
         assert spec.history_cap == 1000
 
     def test_case_ref_always_traces(self):
@@ -59,7 +57,9 @@ class TestProtocol:
         ({"case": "db_update", "jobs": 0}, "'jobs' must be"),
         ({"case": "db_update", "jobs": True}, "'jobs' must be"),
         ({"case": "db_update", "por": 1}, "'por' must be"),
-        ({"case": "db_update", "slice": "yes"}, "'slice' must be"),
+        # the deleted checking-route switches are unknown keys now
+        ({"case": "db_update", "slice": False, "compile": False},
+         "unknown job key"),
         ({"inline": {"procs": []}}, "inline.procs"),
         ({"inline": {"procs": [2], "deps": [[1, 2]]}}, "inline.deps"),
         ({"inline": {"procs": [2], "bug": 7}}, "inline.bug"),
@@ -88,12 +88,12 @@ class TestProtocol:
         spec = JobSpec(case="db_update", mutant=True, jobs=2, por=False)
         assert parse_job_spec(spec.to_json()) == spec
 
-    def test_slice_flag_round_trips_and_labels(self):
-        spec = parse_job_spec({"case": "db_update", "slice": False})
-        assert not spec.slice
+    def test_dfa_flag_round_trips_and_labels(self):
+        spec = parse_job_spec({"case": "db_update", "dfa": False})
+        assert not spec.dfa
         assert parse_job_spec(spec.to_json()) == spec
-        assert "no-slice" in spec.describe()
-        assert not spec.case_ref().slice  # reaches the worker recipe
+        assert "no-dfa" in spec.describe()
+        assert not spec.case_ref().dfa  # reaches the worker recipe
         assert parse_job_spec({"case": "db_update"}).describe() == "db_update"
 
 
@@ -208,7 +208,7 @@ class TestDaemon:
         # the flag crosses the HTTP + pool + fork boundaries; the
         # failure is reported on the job, never raised in the daemon
         capped = client.verify({"case": "monitor-one-slot-buffer",
-                                "compile": False, "history_cap": 1})
+                                "history_cap": 1})
         assert capped["state"] == "failed"
         assert "history_cap" in capped["error"]
 
@@ -263,13 +263,6 @@ class TestDaemon:
         assert daemon_sig[6] == oneshot[6]  # restriction verdicts
         assert daemon_sig[1] == oneshot[1] is False  # both sampled
 
-    def test_no_slice_job_keeps_the_signature(self, client):
-        on = client.verify({"case": "csp-bounded-buffer"})
-        off = client.verify({"case": "csp-bounded-buffer", "slice": False})
-        assert off["state"] == "done"
-        assert off["result"]["signature"] == on["result"]["signature"]
-        assert off["result"]["stats"]["slice_hits"] == 0
-
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServeError) as exc:
             client.job("j999999")
@@ -278,6 +271,8 @@ class TestDaemon:
     def test_bad_submissions_are_400(self, client):
         for payload in ({"case": "no-such-case"},
                         {"case": "db_update", "bogus": 1},
+                        {"case": "db_update", "slice": False},
+                        {"case": "db_update", "compile": False},
                         ["not a spec"]):
             with pytest.raises(ServeError) as exc:
                 client.submit(payload)

@@ -1,11 +1,12 @@
 """Computation slicing (repro.core.slice): exactness, laws, routing.
 
-Four layers, mirroring how the slice earns its default-on position:
+Four layers, mirroring how the slice earns its place in the ``auto``
+route chain:
 
-* a 200-seed differential sweep -- slice-routed checking must be
-  byte-equal (verdict *and* detail) to the lattice interpreter on every
-  CLI catalog case and on randomly generated restrictions, in both
-  checker modes;
+* a 200-seed differential sweep -- ``auto`` checking, and the bare
+  slice wherever it decides, must be byte-equal (verdict *and* detail)
+  to the lattice interpreter on every CLI catalog case and on randomly
+  generated restrictions, and equal to the compiled walk too;
 * hypothesis properties of the slice representation itself -- each
   :class:`SliceCube` is a join/meet-closed sublattice, every cut in the
   predicate's cubes satisfies the predicate, and the union of cubes is
@@ -83,18 +84,17 @@ def case_projections(name: str, n: int, seed: int = 0):
 
 class TestDifferentialSweep:
     def test_catalog_cases_agree_in_every_mode(self):
-        """Slice-routed check_computation equals the plain walk on every
-        catalog case, both checker modes, verdicts and details."""
+        """The auto route (slice included) equals both walking reference
+        modes on every catalog case, verdicts and details."""
         mismatches = []
         for name in CATALOG_CASES:
             spec, projections = case_projections(name, 6)
             for comp in projections:
+                routed = spec.check(comp)
+                b = [(o.name, o.holds, o.detail) for o in routed.outcomes]
                 for mode in ("compiled", "lattice"):
                     walked = spec.check(comp, temporal_mode=mode)
-                    sliced = spec.check(comp, temporal_mode=mode,
-                                        use_slice=True)
                     a = [(o.name, o.holds, o.detail) for o in walked.outcomes]
-                    b = [(o.name, o.holds, o.detail) for o in sliced.outcomes]
                     if a != b:
                         mismatches.append((name, mode, a, b))
         assert not mismatches, mismatches[:3]
@@ -291,15 +291,23 @@ class TestClassifier:
 
 class TestRouting:
     def test_outcome_provenance_marks_slice_vs_walk(self):
-        spec, comp = projected_case("monitor-one-slot-buffer")
-        result = check_computation(comp, spec, temporal_mode="lattice",
-                                   use_slice=True)
+        spec, comp = projected_case("monitor-readers-writers")
+        result = check_computation(comp, spec)
         by_name = {o.name: o for o in result.outcomes}
-        assert by_name["every-deposit-completes"].provenance == "slice"
+        assert by_name["readers-priority"].provenance == "slice"
+        assert by_name["read-chain"].provenance == ""
+        assert result.slice_hits == 3
+        assert result.slice_fallbacks == 0
+        spec, comp = projected_case("monitor-one-slot-buffer")
+        result = check_computation(comp, spec)
+        by_name = {o.name: o for o in result.outcomes}
+        # the DFA leaf runs ahead of the slice in the auto chain
+        assert by_name["every-deposit-completes"].provenance == "dfa"
         assert by_name["capacity-1"].provenance == "walk"
         assert by_name["deposit-chain"].provenance == ""
-        assert result.slice_hits == 2
+        assert result.slice_hits == 0
         assert result.slice_fallbacks == 3
+        assert result.dfa_hits == 2
 
     def test_provenance_is_excluded_from_outcome_equality(self):
         a = RestrictionOutcome("r", True, provenance="slice")
@@ -308,17 +316,20 @@ class TestRouting:
         assert str(a) == str(b)
 
     def test_slice_off_leaves_counters_zero(self):
-        spec, comp = projected_case("monitor-one-slot-buffer")
-        result = check_computation(comp, spec, temporal_mode="lattice")
-        assert result.slice_hits == 0
-        assert result.slice_fallbacks == 0
-        assert all(o.provenance == "" for o in result.outcomes)
+        """The single-route modes never consult the slice."""
+        spec, comp = projected_case("monitor-readers-writers")
+        for mode in ("compiled", "lattice", "exact"):
+            result = check_computation(comp, spec, temporal_mode=mode)
+            assert result.slice_hits == 0, mode
+            assert result.slice_fallbacks == 0, mode
+            assert all(o.provenance == "" for o in result.outcomes), mode
 
     def test_cap_error_mentions_the_slice_remedy(self):
         spec, comp = projected_case("monitor-one-slot-buffer")
-        with pytest.raises(Exception, match="--slice"):
-            check_computation(comp, spec, temporal_mode="lattice",
-                              history_cap=1, use_slice=False)
+        for mode in ("compiled", "lattice"):
+            with pytest.raises(Exception, match="decided on the slice"):
+                check_computation(comp, spec, temporal_mode=mode,
+                                  history_cap=1)
 
 
 class TestEngineCounters:
@@ -328,28 +339,10 @@ class TestEngineCounters:
         report, stats = run_verification(program, spec, corr, pspec,
                                          EngineConfig())
         assert report.ok
-        assert stats.slice_enabled
         assert stats.slice_hits > 0
         assert stats.slice_fallbacks == 0
         assert "slice-exact" in stats.describe()
 
-    def test_no_slice_reports_disabled(self):
-        entry = case_catalog()["monitor-readers-writers"]
-        program, spec, corr, pspec = entry.factory(False)
-        report, stats = run_verification(program, spec, corr, pspec,
-                                         EngineConfig(slice=False))
-        assert report.ok
-        assert not stats.slice_enabled
-        assert stats.slice_hits == 0
-        assert "slice: disabled" in stats.describe()
-
-    def test_slice_does_not_change_the_signature(self):
-        entry = case_catalog()["monitor-one-slot-buffer"]
-        program, spec, corr, pspec = entry.factory(False)
-        on, _ = run_verification(program, spec, corr, pspec, EngineConfig())
-        off, _ = run_verification(program, spec, corr, pspec,
-                                  EngineConfig(slice=False))
-        assert on.signature() == off.signature()
 
 
 class TestExactnessRegression:
@@ -460,14 +453,22 @@ class TestSliceChecker:
 
     def test_slice_agrees_on_exhaustive_exploration(self):
         """Every distinct computation of a small exhaustive exploration:
-        slice verdicts equal walked verdicts (not just on samples)."""
+        auto-route verdicts equal walked verdicts (not just on
+        samples)."""
         entry = case_catalog()["ada-one-slot-buffer"]
         program, spec, corr, _pspec = entry.factory(False)
         for run in islice(explore(program, max_runs=10_000_000), 12):
             comp = spec.label_threads(project(run.computation, corr))
             walked = spec.check(comp, temporal_mode="lattice")
-            sliced = spec.check(comp, temporal_mode="lattice",
-                                use_slice=True)
+            sliced = spec.check(comp)
             assert ([(o.name, o.holds, o.detail) for o in walked.outcomes]
                     == [(o.name, o.holds, o.detail)
                         for o in sliced.outcomes])
+            # the DFA leaf decides some of these ahead of the slice, so
+            # the bare slice is checked wherever it decides
+            slicer = SliceChecker(comp)
+            for o in walked.outcomes:
+                r = spec.restriction(o.name)
+                if r.formula.is_temporal():
+                    assert slicer.analyze(r).verdict in (None, o.holds), (
+                        o.name)

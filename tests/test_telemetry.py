@@ -63,8 +63,7 @@ from repro.verify import verify_program
 
 CASE = "monitor-one-slot-buffer"
 
-FLAGS = {"jobs": 1, "por": True, "slice": True, "dfa": True,
-         "compile": True, "mutant": False}
+FLAGS = {"jobs": 1, "por": True, "dfa": True, "mutant": False}
 
 
 def oneshot_report(jobs=1):
