@@ -79,49 +79,61 @@ class Computation:
         groups: Optional[GroupStructure] = None,
     ) -> None:
         self._events: Tuple[Event, ...] = tuple(events)
-        self._by_id: Dict[EventId, Event] = {}
-        self._by_element: Dict[ElementName, List[Event]] = {}
-        for ev in self._events:
-            if ev.eid in self._by_id:
-                raise ComputationError(f"duplicate event identity {ev.eid}")
-            self._by_id[ev.eid] = ev
-            self._by_element.setdefault(ev.element, []).append(ev)
+        # one eid -> position map shared by ⊳, ⊳ ∪ ⇒ₑ and ⇒: every
+        # relation of a computation is indexed in ``events`` order
+        ids = tuple(ev.eid for ev in self._events)
+        index: Dict[EventId, int] = {eid: i for i, eid in enumerate(ids)}
+        if len(index) != len(ids):
+            seen: Set[EventId] = set()
+            for eid in ids:
+                if eid in seen:
+                    raise ComputationError(f"duplicate event identity {eid}")
+                seen.add(eid)
+        self._by_id: Dict[EventId, Event] = dict(zip(ids, self._events))
+        positions: Dict[ElementName, List[int]] = {}
+        for i, eid in enumerate(ids):
+            positions.setdefault(eid.element, []).append(i)
 
-        for element, seq in self._by_element.items():
-            seq.sort(key=lambda e: e.index)
-            for pos, ev in enumerate(seq, start=1):
-                if ev.index != pos:
+        self._by_element: Dict[ElementName, List[Event]] = {}
+        for element, seq in positions.items():
+            seq.sort(key=lambda i: ids[i].index)
+            for pos, i in enumerate(seq, start=1):
+                if ids[i].index != pos:
                     raise ComputationError(
                         f"occurrence numbers at element {element!r} are not "
-                        f"contiguous from 1: saw {ev.index} at position {pos}"
+                        f"contiguous from 1: saw {ids[i].index} at position {pos}"
                     )
+            self._by_element[element] = [self._events[i] for i in seq]
 
         self._enable_pairs: Tuple[Tuple[EventId, EventId], ...] = tuple(enable_pairs)
-        ids = [ev.eid for ev in self._events]
-        id_set = set(ids)
+        enable = [0] * len(ids)
         for a, b in self._enable_pairs:
-            if a not in id_set or b not in id_set:
+            ia = index.get(a)
+            ib = index.get(b)
+            if ia is None or ib is None:
                 raise ComputationError(
                     f"enable edge ({a}, {b}) references an unknown event"
                 )
-            if a == b:
+            if ia == ib:
                 raise ComputationError(f"enable relation is irreflexive; got {a} ⊳ {a}")
-
-        self._enable: Relation = Relation.from_pairs(ids, self._enable_pairs)
-
-        # temporal = transitive closure of enable ∪ element-order covers
-        covers: List[Tuple[EventId, EventId]] = []
-        for seq in self._by_element.values():
+            enable[ia] |= 1 << ib
+        # ⊳ ∪ ⇒ₑ: the element order's covering pairs join the enable edges
+        combined = list(enable)
+        for seq in positions.values():
             for prev, nxt in zip(seq, seq[1:]):
-                covers.append((prev.eid, nxt.eid))
-        combined = Relation.from_pairs(ids, list(self._enable_pairs) + covers)
-        if not combined.is_acyclic():
+                combined[prev] |= 1 << nxt
+
+        self._enable: Relation = Relation._from_table(ids, index, enable)
+        # temporal = transitive closure of enable ∪ element-order covers;
+        # this is the computation's one Kahn pass, and ⇒ inherits its order
+        generators = Relation._from_table(ids, index, combined)
+        if not generators.is_acyclic():
             raise CycleError(
                 "enable relation plus element order has a causal cycle; the "
                 "temporal order cannot be irreflexive",
-                combined.find_cycle(),
+                generators.find_cycle(),
             )
-        self._temporal: Relation = combined.transitive_closure()
+        self._temporal: Relation = generators.transitive_closure()
         self._groups = groups
         # lazily built bitmask tables (repro.core.evalcore.event_index)
         self._evalcore = None
@@ -166,10 +178,9 @@ class Computation:
 
     def events_of_thread(self, thread: ThreadId) -> Tuple[Event, ...]:
         """Events labelled with ``thread``, in temporal-consistent order."""
-        members = [ev for ev in self._events if thread in ev.threads]
-        order = {eid: i for i, eid in enumerate(self.temporal_relation.topological_order())}
-        members.sort(key=lambda e: order[e.eid])
-        return tuple(members)
+        events = self._events
+        return tuple(events[i] for i in self._temporal.topological_indices()
+                     if thread in events[i].threads)
 
     def thread_ids(self) -> Tuple[ThreadId, ...]:
         """All thread instances appearing on any event (sorted)."""

@@ -9,9 +9,10 @@ event indexing per computation and works with plain ``int`` bitmasks:
 * a history is an ``int`` with bit *i* set iff event *i* has occurred;
 * the child of history ``m`` adding event *i* is ``m | (1 << i)``;
 * the relations ``⊳``, ``⇒ₑ`` and ``⇒`` are per-event successor masks
-  (re-using :class:`~repro.core.order.Relation`'s ``succ_bits`` tables
-  -- the temporal relation is already transitively closed, so its raw
-  successor table *is* the closure);
+  (``⊳`` and ``⇒`` *are* :class:`~repro.core.order.Relation`'s tables,
+  shared, not copied -- the computation indexes them in event order,
+  and the temporal relation is already transitively closed, so its raw
+  successor table is the closure);
 * ``addable(m)`` is "every bit i ∉ m whose temporal-predecessor mask is
   contained in m", one AND-NOT per event.
 
@@ -66,30 +67,14 @@ class EventIndex:
         n = len(self.events)
         self.n = n
         self.full_mask = (1 << n) - 1
-        self.index_of: Dict[EventId, int] = {
-            ev.eid: i for i, ev in enumerate(self.events)
-        }
+        # the Computation constructor indexes ⊳ and ⇒ in ``events`` order,
+        # so their tables are used as they are (read-only, shared); ⇒ was
+        # born closed, so its closure table is its successor table
         temporal = computation.temporal_relation
-        # ⇒ is transitively closed at construction, so the raw successor
-        # table equals the closure; closure_table() shares the Relation's
-        # memoised list rather than recomputing reachability
-        closure = temporal.closure_table()
-        remap = [self.index_of[node] for node in temporal.nodes]
-        self.temporal_succ: List[int] = [0] * n
-        for rel_i, bits in enumerate(closure):
-            acc = 0
-            for rel_j in iter_bits(bits):
-                acc |= 1 << remap[rel_j]
-            self.temporal_succ[remap[rel_i]] = acc
-        self.temporal_pred: List[int] = _transpose(self.temporal_succ)
-        enable = computation.enable_relation
-        enable_remap = [self.index_of[node] for node in enable.nodes]
-        self.enable_succ: List[int] = [0] * n
-        for rel_i, bits in enumerate(enable.succ_table()):
-            acc = 0
-            for rel_j in iter_bits(bits):
-                acc |= 1 << enable_remap[rel_j]
-            self.enable_succ[enable_remap[rel_i]] = acc
+        self.index_of: Dict[EventId, int] = temporal.index_table()
+        self.temporal_succ: List[int] = temporal.closure_table()
+        self.temporal_pred: List[int] = temporal.closure_pred_table()
+        self.enable_succ: List[int] = computation.enable_relation.succ_table()
         # ⇒ₑ: same element, smaller occurrence number
         self.element_succ: List[int] = [0] * n
         by_element: Dict[str, List[int]] = {}
@@ -165,15 +150,6 @@ class EventIndex:
         for i in iter_bits(mask):
             acc |= succ[i]
         return acc
-
-
-def _transpose(table: List[int]) -> List[int]:
-    out = [0] * len(table)
-    for i, bits in enumerate(table):
-        mask = 1 << i
-        for j in iter_bits(bits):
-            out[j] |= mask
-    return out
 
 
 def event_index(computation: Computation) -> EventIndex:

@@ -76,6 +76,28 @@ class Relation:
     # -- construction ---------------------------------------------------
 
     @classmethod
+    def _from_table(cls, nodes: Tuple[N, ...], index: Dict[N, int],
+                    succ_bits: List[int]) -> "Relation":
+        """Wrap a trusted successor table without copying or re-indexing.
+
+        The caller guarantees ``index`` is the position map of ``nodes``
+        (duplicate-free) and ``succ_bits`` has one entry per node; the
+        three relations of a :class:`~repro.core.computation.Computation`
+        share one node tuple and one index dict this way.  All three
+        arguments must be treated as read-only from then on.
+        """
+        rel = cls.__new__(cls)
+        rel._nodes = nodes
+        rel._index = index
+        rel._succ = succ_bits
+        rel._pred = None
+        rel._closure_succ = None
+        rel._closure_pred = None
+        rel._topo = None
+        rel._reduction = None
+        return rel
+
+    @classmethod
     def from_pairs(cls, nodes: Iterable[N], pairs: Iterable[Tuple[N, N]]) -> "Relation":
         """Build a relation from an iterable of (source, target) pairs."""
         node_list = list(nodes)
@@ -121,9 +143,12 @@ class Relation:
 
     def predecessors(self, a: N) -> Iterator[N]:
         """Iterate direct predecessors of ``a``."""
+        return self._iter_bits(self._pred_table()[self._index[a]])
+
+    def _pred_table(self) -> List[int]:
         if self._pred is None:
             self._pred = self._transpose(self._succ)
-        return self._iter_bits(self._pred[self._index[a]])
+        return self._pred
 
     def pairs(self) -> Iterator[Tuple[N, N]]:
         """Iterate all related pairs."""
@@ -151,6 +176,14 @@ class Relation:
 
     # -- closure & order properties ---------------------------------------
 
+    def index_table(self) -> Dict[N, int]:
+        """The node -> position map behind every table (read-only).
+
+        Bit ``j`` of any table row stands for ``nodes[j]``; the dict is
+        the relation's own storage.
+        """
+        return self._index
+
     def succ_table(self) -> List[int]:
         """The raw successor bitset table (``succ[i]`` bit j ⇔ i R j).
 
@@ -166,7 +199,9 @@ class Relation:
         (``down_set``, ``is_down_closed``, the compiled checker's
         :class:`~repro.core.evalcore.EventIndex`, and every
         :class:`~repro.core.history.History` of the owning computation
-        all read the identical list object).
+        all read the identical list object).  On a relation returned by
+        :meth:`transitive_closure` it *is* :meth:`succ_table`: the
+        closure of a transitive relation is itself.
         """
         return self._closure_table()
 
@@ -216,6 +251,18 @@ class Relation:
         self._closure_succ = closure
         return closure
 
+    def topological_indices(self) -> List[int]:
+        """:meth:`topological_order` as node positions, memoised.
+
+        The list is the relation's own storage -- callers must treat it
+        as read-only.  Raises :class:`CycleError` on a cyclic relation.
+        """
+        topo = self._try_topological()
+        if topo is None:
+            raise CycleError("no topological order: relation is cyclic",
+                             self.find_cycle())
+        return topo
+
     def _try_topological(self) -> Optional[List[int]]:
         """Kahn's algorithm; None if the relation is cyclic.
 
@@ -223,12 +270,21 @@ class Relation:
         order is *insertion-stable*: among concurrent nodes, earlier
         insertion wins.  Computation builders insert events in execution
         order, so this linearisation reproduces the recorded execution.
+
+        When every edge points to a later position -- the common case:
+        builders and projection insert events in a topological order --
+        the positions themselves are that order (the smallest unplaced
+        node always has all its predecessors placed), and no heap is
+        needed.
         """
         if self._topo is not None:
             return self._topo
+        n = len(self._nodes)
+        if all(not bits & ((2 << i) - 1) for i, bits in enumerate(self._succ)):
+            self._topo = list(range(n))
+            return self._topo
         import heapq
 
-        n = len(self._nodes)
         indeg = [0] * n
         for bits in self._succ:
             b = bits
@@ -316,11 +372,33 @@ class Relation:
         Raises :class:`CycleError` if the relation is cyclic, because GEM
         temporal orders must be irreflexive.  Use :meth:`is_acyclic`
         first when a cycle is an expected (checkable) condition.
+
+        The result is born knowing it is closed, so none of its order
+        queries re-derives anything from the dense table:
+
+        * its :meth:`closure_table` is its own successor table (the
+          closure of a transitive relation is itself);
+        * its topological order is this relation's, inherited rather
+          than recomputed.  Kahn's smallest-index-first order is the
+          same on a DAG and on its closure: every node Kahn has placed
+          had all its direct predecessors placed first, so by induction
+          the placed set is down-closed -- it holds every ancestor of
+          each member.  A node's direct predecessors are then all
+          placed exactly when all its ancestors are, so the two graphs
+          have the same ready set at every step, and the min-heap picks
+          the same node from it.
+
+        It shares this relation's node tuple, index and closure list
+        (all read-only).
         """
         if not self.is_acyclic():
             cycle = self.find_cycle()
             raise CycleError("relation has a causal cycle", cycle)
-        return Relation(self._nodes, list(self._closure_table()))
+        closure = self._closure_table()
+        closed = Relation._from_table(self._nodes, self._index, closure)
+        closed._closure_succ = closure
+        closed._topo = self._topo
+        return closed
 
     def closure_holds(self, a: N, b: N) -> bool:
         """True iff ``a R⁺ b`` (strict transitive closure)."""
@@ -390,9 +468,8 @@ class Relation:
 
     def minimal_nodes(self) -> List[N]:
         """Nodes with no predecessor in the raw relation."""
-        if self._pred is None:
-            self._pred = self._transpose(self._succ)
-        return [self._nodes[i] for i in range(len(self._nodes)) if self._pred[i] == 0]
+        pred = self._pred_table()
+        return [self._nodes[i] for i in range(len(self._nodes)) if pred[i] == 0]
 
     def maximal_nodes(self) -> List[N]:
         """Nodes with no successor in the raw relation."""
@@ -400,11 +477,7 @@ class Relation:
 
     def topological_order(self) -> List[N]:
         """One topological order (deterministic for a given insertion order)."""
-        topo = self._try_topological()
-        if topo is None:
-            raise CycleError("no topological order: relation is cyclic",
-                             self.find_cycle())
-        return [self._nodes[i] for i in topo]
+        return [self._nodes[i] for i in self.topological_indices()]
 
     def down_set(self, targets: Iterable[N]) -> FrozenSet[N]:
         """All nodes ≤ some target under the closure (targets included).
@@ -430,7 +503,9 @@ class Relation:
 
     def _closure_pred_table(self) -> List[int]:
         if self._closure_pred is None:
-            self._closure_pred = self._transpose(self._closure_table())
+            closure = self._closure_table()
+            self._closure_pred = (self._pred_table() if closure is self._succ
+                                  else self._transpose(closure))
         return self._closure_pred
 
     def is_down_closed(self, subset: Iterable[N]) -> bool:

@@ -131,11 +131,10 @@ class ThreadType:
         """
         labels: Dict[EventId, Set[ThreadId]] = {}
         serial = start_serial
-        topo = computation.temporal_relation.topological_order()
-        by_id = {ev.eid: ev for ev in computation.events}
+        events = computation.events
 
-        for eid in topo:
-            ev = by_id[eid]
+        for i in computation.temporal_relation.topological_indices():
+            ev = events[i]
             matching_paths = [p for p in self.paths if p.stages[0].matches(ev)]
             if not matching_paths:
                 continue

@@ -68,7 +68,11 @@ def check_order_laws(comp: Computation) -> Optional[str]:
     the reference for the order the constructor builds; closure must be
     idempotent, reduction must round-trip through closure, topological
     order must linearise it, and concurrency must be the symmetric
-    irreflexive complement.
+    irreflexive complement.  ``⇒`` inherits its topological order and
+    closure from the constructor's one Kahn pass over ``⊳ ∪ ⇒ₑ``, so
+    its order must equal Kahn recomputed on a fresh copy
+    of ``⇒`` and on the generators, and its closure table must be its
+    own successor table.
     """
     t = comp.temporal_relation
     if not t.is_strict_partial_order():
@@ -81,7 +85,8 @@ def check_order_laws(comp: Computation) -> Optional[str]:
     reduction = t.transitive_reduction()
     if set(reduction.transitive_closure().pairs()) != pairs:
         return "transitive reduction does not round-trip through closure"
-    position = {n: i for i, n in enumerate(t.topological_order())}
+    order = t.topological_order()
+    position = {n: i for i, n in enumerate(order)}
     if any(position[a] >= position[b] for a, b in pairs):
         return "topological_order() violates ⇒"
     ids = [ev.eid for ev in comp.events]
@@ -90,8 +95,14 @@ def check_order_laws(comp: Computation) -> Optional[str]:
         seq = comp.events_at(element)
         generators.extend(
             (prev.eid, nxt.eid) for prev, nxt in zip(seq, seq[1:]))
-    closure = set(Relation.from_pairs(ids, generators)
-                  .transitive_closure().pairs())
+    if Relation.from_pairs(ids, t.pairs()).topological_order() != order:
+        return "⇒'s topological order differs from Kahn on a fresh ⇒"
+    generated = Relation.from_pairs(ids, generators)
+    if generated.topological_order() != order:
+        return "⇒'s topological order differs from Kahn on ⊳ ∪ ⇒ₑ"
+    if t.closure_table() != t.succ_table():
+        return "closed ⇒'s closure_table() differs from its succ_table()"
+    closure = set(generated.transitive_closure().pairs())
     if closure - pairs:
         a, b = min(closure - pairs)
         return f"closure pair {a} ⇒ {b} of ⊳ ∪ ⇒ₑ missing from ⇒"

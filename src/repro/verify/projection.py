@@ -38,7 +38,7 @@ problem specification (including its thread labelling) is then exactly
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.computation import Computation
 from ..core.errors import VerificationError
@@ -46,107 +46,136 @@ from ..core.event import Event
 from ..core.ids import EventId
 from .correspondence import Correspondence
 
+_UNSET = object()
+
 
 def project(
     computation: Computation,
     correspondence: Correspondence,
     strict_element_order: bool = False,
 ) -> Computation:
-    """Project ``computation`` onto the correspondence's significant objects."""
+    """Project ``computation`` onto the correspondence's significant objects.
+
+    Works on event positions: the computation's relations are indexed
+    in ``computation.events`` order, so ⇒'s topological order, its
+    closure and ⊳'s successor table are read by position, not looked
+    up by event id.
+    """
+    events = computation.events
     # 1. select and map events
-    matched: List[Tuple[Event, object]] = []
-    for ev in computation.events:
+    matched: List[Tuple[int, object]] = []
+    for i, ev in enumerate(events):
         rule = correspondence.rule_for(ev)
         if rule is not None:
-            matched.append((ev, rule))
+            matched.append((i, rule))
     if not matched:
         return Computation([], [])
 
-    topo_pos = {
-        eid: i
-        for i, eid in enumerate(computation.temporal_relation.topological_order())
-    }
-    matched.sort(key=lambda pair: topo_pos[pair[0].eid])
+    temporal = computation.temporal_relation
+    rank = [0] * len(events)
+    for r, i in enumerate(temporal.topological_indices()):
+        rank[i] = r
+    matched.sort(key=lambda pair: rank[pair[0]])
 
     # 2. per-target-element sequencing
-    by_target: Dict[str, List[Event]] = {}
+    closure = temporal.closure_table()
+    last_at: Dict[str, int] = {}
+    counts: Dict[str, int] = {}
     mapped_events: List[Event] = []
-    id_map: Dict[EventId, EventId] = {}
-    for ev, rule in matched:
+    new_ids: Dict[int, EventId] = {}
+    for i, rule in matched:
+        ev = events[i]
         target_el = rule.target_element_for(ev)
-        seq = by_target.setdefault(target_el, [])
-        if strict_element_order and seq:
-            prev = seq[-1]
-            if computation.concurrent(prev.eid, ev.eid):
-                raise VerificationError(
-                    f"projection must invent an element order at "
-                    f"{target_el!r}: {prev.eid} and {ev.eid} are potentially "
-                    "concurrent in the program computation"
-                )
-        seq.append(ev)
+        prev = last_at.get(target_el)
+        if (strict_element_order and prev is not None
+                and not closure[prev] >> i & 1 and not closure[i] >> prev & 1):
+            raise VerificationError(
+                f"projection must invent an element order at "
+                f"{target_el!r}: {events[prev].eid} and {ev.eid} are "
+                "potentially concurrent in the program computation"
+            )
+        last_at[target_el] = i
+        counts[target_el] = count = counts.get(target_el, 0) + 1
         new = Event.make(
             target_el,
-            len(seq),
+            count,
             rule.target_class,
             rule.params_for(ev),
             threads=ev.threads,
         )
         mapped_events.append(new)
-        id_map[ev.eid] = new.eid
+        new_ids[i] = new.eid
 
     # 3. path-induced enable edges through insignificant events
-    significant: Set[EventId] = set(id_map)
+    succ = computation.enable_relation.succ_table()
+    significant = 0
+    for i, _rule in matched:
+        significant |= 1 << i
+    process_of = correspondence.process_of
+    edge_filter = correspondence.edge_filter
+    processes = [_UNSET] * len(events)
+
+    def process(i: int) -> Optional[str]:
+        p = processes[i]
+        if p is _UNSET:
+            p = processes[i] = process_of(events[i])
+        return p
+
     edges: List[Tuple[EventId, EventId]] = []
-    for ev, _rule in matched:
-        src_process = (correspondence.process_of(ev)
-                       if correspondence.process_of is not None else None)
-        reachable = _significant_successors(
-            computation, ev.eid, significant,
-            correspondence.process_of, src_process,
-        )
-        for dst in reachable:
-            dst_ev = computation.event(dst)
-            if correspondence.keeps_edge(ev, dst_ev):
-                edges.append((id_map[ev.eid], id_map[dst]))
+    for i, _rule in matched:
+        src_process = process(i) if process_of is not None else None
+        for j in _significant_successors(succ, i, significant,
+                                         process, src_process):
+            # Correspondence.keeps_edge, on memoised processes
+            if edge_filter is not None:
+                keep = edge_filter(events[i], events[j])
+            else:
+                dst_process = None if src_process is None else process(j)
+                keep = dst_process is None or dst_process == src_process
+            if keep:
+                edges.append((new_ids[i], new_ids[j]))
 
     return Computation(mapped_events, edges)
 
 
 def _significant_successors(
-    computation: Computation,
-    source: EventId,
-    significant: Set[EventId],
-    process_of,
+    succ: List[int],
+    source: int,
+    significant: int,
+    process,
     src_process: Optional[str],
-) -> List[EventId]:
-    """Significant events reachable from ``source`` by an enable path
-    whose intermediate events are all insignificant.
+) -> List[int]:
+    """Positions of the significant events reachable from ``source`` by
+    an enable path whose intermediate events are all insignificant.
 
-    When a process map is given and the source has a process identity,
-    the path may only traverse intermediates of that process (or of no
-    process) -- control flow, not tunnelling through other processes.
+    ``succ`` is ⊳'s successor table and ``significant`` a mask of
+    positions.  When the source has a process identity, the path may
+    only traverse intermediates of that process (or of no process) --
+    control flow, not tunnelling through other processes.  The walk is
+    a depth-first search whose frontier pops the highest position
+    first, so the edge order of a projection is deterministic.
     """
-
-    def traversable(eid: EventId) -> bool:
-        if process_of is None or src_process is None:
-            return True
-        p = process_of(computation.event(eid))
-        return p is None or p == src_process
-
-    out: List[EventId] = []
-    seen: Set[EventId] = set()
-    frontier: List[EventId] = [
-        e.eid for e in computation.enables_of(source)
-    ]
+    out: List[int] = []
+    seen = 0
+    # a stack of successor bitsets; each is popped highest bit first,
+    # the order of a stack of positions pushed in ascending order
+    frontier = [succ[source]] if succ[source] else []
     while frontier:
-        eid = frontier.pop()
-        if eid in seen:
+        bits = frontier.pop()
+        j = bits.bit_length() - 1
+        bit = 1 << j
+        if bits ^ bit:
+            frontier.append(bits ^ bit)
+        if seen & bit:
             continue
-        seen.add(eid)
-        if eid in significant:
-            out.append(eid)
+        seen |= bit
+        if significant & bit:
+            out.append(j)
             continue  # paths may not pass through significant events
-        if not traversable(eid):
-            continue
-        frontier.extend(e.eid for e in computation.enables_of(eid))
+        if src_process is not None:
+            p = process(j)
+            if p is not None and p != src_process:
+                continue
+        if succ[j]:
+            frontier.append(succ[j])
     return out

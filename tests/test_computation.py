@@ -208,3 +208,107 @@ class TestThreadsOnComputation:
         t = ThreadId("pi", 1)
         c2 = c.relabel_threads({x2.eid: frozenset({t}), x1.eid: frozenset({t})})
         assert [e.eid for e in c2.events_of_thread(t)] == [x1.eid, x2.eid]
+
+
+class TestOneKahnPass:
+    """⇒ is derived once per computation: the constructor's Kahn pass
+    over ⊳ ∪ ⇒ₑ and its closure DP are the only ones, and every later
+    order query on the computation is a lookup.
+
+    Counts *non-memoised* executions of Kahn's algorithm and of the
+    closure DP, by relation, so the tests are deterministic."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        from repro.core.order import Relation
+
+        kahn, closure_dp, built = [], [], []
+        real_topo = Relation._try_topological
+        real_closure = Relation._closure_table
+        real_init = Computation.__init__
+
+        def topo(rel):
+            if rel._topo is None:
+                kahn.append(rel)
+            return real_topo(rel)
+
+        def closure(rel):
+            if rel._closure_succ is None:
+                closure_dp.append(rel)
+            return real_closure(rel)
+
+        def init(comp, *args, **kwargs):
+            built.append(comp)
+            real_init(comp, *args, **kwargs)
+
+        monkeypatch.setattr(Relation, "_try_topological", topo)
+        monkeypatch.setattr(Relation, "_closure_table", closure)
+        monkeypatch.setattr(Computation, "__init__", init)
+
+        def take():
+            counts = (list(kahn), list(closure_dp), list(built))
+            kahn.clear()
+            closure_dp.clear()
+            built.clear()
+            return counts
+
+        return take
+
+    @staticmethod
+    def catalog_run():
+        from repro.cli import case_catalog
+        from repro.sim.scheduler import explore
+
+        program, spec, corr, _pspec = case_catalog()[
+            "monitor-readers-writers"].factory(False)
+        return next(iter(explore(program))).computation, spec, corr
+
+    def test_build_runs_exactly_one_kahn_pass(self, passes):
+        comp, _spec, _corr = self.catalog_run()
+        events = comp.events
+        pairs = list(comp.enable_relation.pairs())
+        passes()
+        Computation(events, pairs)
+        kahn, closure_dp, built = passes()
+        assert len(built) == 1
+        assert len(kahn) == 1
+        assert len(closure_dp) == 1
+
+    def test_derived_queries_run_no_more_passes(self, passes):
+        from repro.core.evalcore import event_index
+        from repro.verify.projection import project
+
+        comp, spec, corr = self.catalog_run()
+        passes()
+        projected = project(comp, corr)
+        labelled = spec.label_threads(projected)
+        for c in (comp, projected, labelled):
+            event_index(c)
+            c.temporal_relation.closure_table()
+            c.temporal_relation.closure_pred_table()
+            c.temporal_relation.topological_order()
+            for tid in c.thread_ids():
+                c.events_of_thread(tid)
+        assert labelled.thread_ids()
+        kahn, closure_dp, built = passes()
+        # only the new computations' own constructions derive anything
+        assert len(built) == 1 + len(spec.thread_types)
+        assert len(kahn) == len(built)
+        assert len(closure_dp) == len(built)
+        for c in (comp, projected, labelled):
+            for rel in (c.temporal_relation, c.enable_relation):
+                assert rel not in kahn and rel not in closure_dp
+
+    def test_relations_are_indexed_in_event_order(self):
+        """The invariant :class:`~repro.core.evalcore.EventIndex` relies
+        on to share ⇒'s and ⊳'s tables instead of remapping them."""
+        from repro.core.evalcore import event_index
+
+        comp, _events = diamond()
+        ids = tuple(ev.eid for ev in comp.events)
+        assert comp.temporal_relation.nodes == ids
+        assert comp.enable_relation.nodes == ids
+        idx = event_index(comp)
+        assert idx.temporal_succ is comp.temporal_relation.succ_table()
+        assert idx.enable_succ is comp.enable_relation.succ_table()
+        assert idx.index_of == {eid: i for i, eid in enumerate(ids)}

@@ -1,6 +1,8 @@
 """Unit tests for the partial-order algebra (repro.core.order)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import CycleError
 from repro.core.order import Relation
@@ -233,3 +235,50 @@ class TestLinearExtensions:
             list(r.linear_extensions())
         with pytest.raises(CycleError):
             r.count_linear_extensions()
+
+
+class TestClosedRelation:
+    """A relation from :meth:`Relation.transitive_closure` knows it is
+    closed: it inherits the source's topological order and is its own
+    closure table."""
+
+    def test_closure_table_is_succ_table(self):
+        tc = rel("abcd", [("a", "b"), ("b", "c"), ("a", "d")]).transitive_closure()
+        assert tc.closure_table() is tc.succ_table()
+        assert tc.closure_pred_table() == [
+            sum(1 << j for j in range(4) if tc.succ_table()[j] >> i & 1)
+            for i in range(4)]
+
+    def test_inherits_order_not_insertion_order(self):
+        # insertion order d, c, b, a; edges run a -> b -> c -> d
+        r = rel("dcba", [("a", "b"), ("b", "c"), ("c", "d")])
+        tc = r.transitive_closure()
+        assert tc.topological_order() == list("abcd")
+        fresh = rel("dcba", list(tc.pairs()))
+        assert fresh.topological_order() == tc.topological_order()
+
+
+@st.composite
+def dags(draw):
+    """A random DAG whose insertion order is a random permutation of a
+    hidden topological order, so Kahn's tie-breaking matters."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    rank = draw(st.permutations(range(n)))
+    pairs = [
+        (a, b) for a in range(n) for b in range(n)
+        if rank[a] < rank[b] and draw(st.booleans())
+    ]
+    return list(range(n)), pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(dags())
+def test_closure_inherits_kahn_order_and_is_its_own_closure(dag):
+    nodes, pairs = dag
+    tc = Relation.from_pairs(nodes, pairs).transitive_closure()
+    order = tc.topological_order()
+    assert Relation.from_pairs(nodes, pairs).topological_order() == order
+    assert Relation.from_pairs(nodes, tc.pairs()).topological_order() == order
+    assert tc.closure_table() == tc.succ_table()
+    assert tc.closure_table() == Relation.from_pairs(
+        nodes, tc.pairs()).closure_table()
