@@ -40,6 +40,9 @@ takes one of four values, all deciding the same ``legal(C, σ)``.
     of histories, reading □ as "at every history reachable from here"
     (AG) and ◇ as "on every path from here, eventually" (AF), with
     memoisation keyed by (subformula, history, relevant bindings).
+    Histories are bitmasks over event positions, and □/◇ run through
+    :class:`~repro.core.history.LatticeWalk`, the walk the compiled
+    route shares.
 
 ``exact``
     Enumerate maximal valid history sequences from the empty history and
@@ -69,13 +72,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .computation import Computation
-from .errors import ComputationError, SpecificationError
+from .errors import SpecificationError
 from .formula import (
     And,
-    AtControl,
     Eventually,
     Exists,
     ExistsUnique,
@@ -91,7 +93,7 @@ from .formula import (
 )
 from .history import (
     History,
-    HistorySequence,
+    LatticeWalk,
     empty_history,
     full_history,
     maximal_history_sequences,
@@ -172,31 +174,27 @@ class LatticeChecker:
     """Temporal evaluation over the history lattice of one computation.
 
     Stateful only in its memo tables; safe to reuse for many formulae
-    over the same computation.
+    over the same computation.  □ and ◇ run through the computation's
+    shared :class:`~repro.core.history.LatticeWalk` on history masks,
+    with this interpreter's formula evaluation as the leaf; ◇ visits
+    children in sorted-``EventId`` order.
     """
 
     def __init__(self, computation: Computation,
                  history_cap: int = DEFAULT_HISTORY_CAP):
         self._comp = computation
-        self._cap = history_cap
-        # memo: (formula, events, env-key, mode) -> bool; keyed on the
-        # formula object itself (structural equality) rather than id() --
-        # ids are reused after garbage collection, which poisons the memo
-        self._memo: Dict[Tuple, bool] = {}
-        self._visited = 0
+        self.walk = LatticeWalk(computation, history_cap, "lattice checker",
+                                id_order=True)
+        # memo: (□/◇ formula, env-key) -> {history mask: bool}; keyed
+        # on the formula object itself (structural equality) rather than
+        # id() -- ids are reused after garbage collection, which poisons
+        # the memo
+        self._memo: Dict[Tuple, Dict[int, bool]] = {}
 
     @property
     def visited(self) -> int:
         """(formula, history) pairs evaluated so far (memo misses)."""
-        return self._visited
-
-    def distinct_histories(self) -> int:
-        """Distinct history prefixes in the memo -- the explored slice
-        of the computation's history lattice."""
-        return len({key[1] for key in self._memo})
-
-    def _env_key(self, env: Dict) -> Tuple:
-        return tuple(sorted((k, v.eid) for k, v in env.items()))
+        return self.walk.visited
 
     def holds(self, formula: Formula, history: Optional[History] = None,
               env: Optional[Dict] = None) -> bool:
@@ -208,10 +206,12 @@ class LatticeChecker:
     def _eval(self, formula: Formula, history: History, env: Dict) -> bool:
         if not formula.is_temporal():
             return formula.holds_at(history, env)
-        if isinstance(formula, Henceforth):
-            return self._always(formula.body, history, env)
-        if isinstance(formula, Eventually):
-            return self._eventually(formula.body, history, env)
+        if isinstance(formula, (Henceforth, Eventually)):
+            walk = (self.walk.always if isinstance(formula, Henceforth)
+                    else self.walk.eventually)
+            key = (formula, tuple(sorted((k, v.eid) for k, v in env.items())))
+            return walk(self._leaf(formula.body), history.mask, env,
+                        self._memo.setdefault(key, {}))
         if isinstance(formula, Not):
             return not self._eval(formula.body, history, env)
         if isinstance(formula, And):
@@ -253,68 +253,15 @@ class LatticeChecker:
         env2[var] = ev
         return env2
 
-    def _bump(self) -> None:
-        self._visited += 1
-        if self._visited > self._cap:
-            raise ComputationError(
-                f"lattice checker visited more than {self._cap} "
-                "(formula, history) pairs; raise history_cap or shrink the "
-                "computation (under temporal_mode=\"auto\" regular "
-                "restrictions are decided on the slice and bypass the walk)"
-            )
-
-    def _always(self, body: Formula, history: History, env: Dict) -> bool:
-        """AG body: body holds at every history ⊇ ``history``."""
-        key = (body, history.events, self._env_key(env), "AG")
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        self._bump()
-        result = True
-        if not self._eval(body, history, env):
-            result = False
-        else:
-            seen = {history.events}
-            stack = [history]
-            while stack:
-                h = stack.pop()
-                for eid in h.addable():
-                    nxt_events = h.events | {eid}
-                    if nxt_events in seen:
-                        continue
-                    seen.add(nxt_events)
-                    nxt = History(self._comp, nxt_events, _trusted=True)
-                    self._bump()
-                    if not self._eval(body, nxt, env):
-                        result = False
-                        stack.clear()
-                        break
-                    stack.append(nxt)
-        self._memo[key] = result
-        return result
-
-    def _eventually(self, body: Formula, history: History, env: Dict) -> bool:
-        """AF body: every maximal path from ``history`` hits a body-history."""
-        key = (body, history.events, self._env_key(env), "AF")
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        self._bump()
-        if self._eval(body, history, env):
-            self._memo[key] = True
-            return True
-        addable = sorted(history.addable())
-        if not addable:
-            self._memo[key] = False
-            return False
-        result = all(
-            self._eventually(
-                body, History(self._comp, history.events | {eid}, _trusted=True), env
-            )
-            for eid in addable
-        )
-        self._memo[key] = result
-        return result
+    def _leaf(self, body: Formula):
+        """``body`` evaluated at a history mask: the walk's leaf."""
+        comp = self._comp
+        if not body.is_temporal():
+            return lambda mask, env: body.holds_at(
+                History.of_mask(comp, mask), env)
+        evaluate = self._eval
+        return lambda mask, env: evaluate(body, History.of_mask(comp, mask),
+                                          env)
 
 
 #: Every accepted ``temporal_mode``: the production chain, then the
@@ -465,10 +412,10 @@ def check_restriction(
                 computation, restriction, history_cap)
             compiled = cspec.restriction(restriction)
             if compiled is not None:
-                visited_before = cspec.visited
+                visited_before = cspec.walk.visited
                 holds = compiled.holds()
                 if metrics is not None:
-                    evals[0] = cspec.visited - visited_before
+                    evals[0] = cspec.walk.visited - visited_before
                     metrics.inc("checker.compiled_evals", max(evals[0], 1),
                                 restriction=restriction.name)
                 if holds:
@@ -611,12 +558,10 @@ def check_computation(
         result.dfa_inert = automata.inert
     if metrics is not None:
         metrics.inc("checker.computations")
-        if compiled is not None:
+        if compiled is not None or temporal_mode == "lattice":
+            walked = compiled if compiled is not None else lattice
             metrics.observe("checker.lattice_histories",
-                            compiled.distinct_histories(), spec=spec.name)
-        elif temporal_mode == "lattice":
-            metrics.observe("checker.lattice_histories",
-                            lattice.distinct_histories(), spec=spec.name)
+                            walked.walk.explored(), spec=spec.name)
     return result
 
 

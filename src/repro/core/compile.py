@@ -2,10 +2,11 @@
 
 The lattice interpreter in :mod:`repro.core.checker` is a recursive
 tree-walk: every evaluation re-dispatches on ``Formula`` node types,
-copies dict environments per quantifier binding, materialises
-``frozenset`` histories, and re-enumerates quantifier domains through
-``Domain.events``.  This module performs that work **once per
-(specification, computation)** instead of once per evaluation:
+copies dict environments per quantifier binding, wraps each history
+mask in a :class:`~repro.core.history.History`, and re-enumerates
+quantifier domains through ``Domain.events``.  This module performs
+that work **once per (specification, computation)** instead of once
+per evaluation:
 
 * each ``Restriction`` becomes a pipeline of Python closures evaluated
   over **bitmask histories** (see :mod:`repro.core.evalcore`): a history
@@ -30,10 +31,10 @@ copies dict environments per quantifier binding, materialises
   ``q`` at the complete history (every maximal path in the finite
   lattice ends there), and monotone quantifier nodes latch their first
   true history per binding and short-circuit on any extension of it;
-* the remaining (non-monotone) ``□``/``◇`` bodies get the same
-  memoised AG/AF walk as the interpreter, but **incremental**: child
-  masks are ``h | (1 << i)`` and addable sets are updated from the
-  parent's instead of recomputed.
+* the remaining (non-monotone) ``□``/``◇`` bodies run through the
+  interpreter's own memoised AG/AF walk
+  (:class:`~repro.core.history.LatticeWalk`), with the compiled body
+  closure as its leaf.
 
 The interpreter keeps its exact semantics and acts as the reference
 oracle; anything the compiler cannot express -- ``PyPred`` escape
@@ -51,8 +52,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .computation import Computation
-from .errors import ComputationError
-from .evalcore import EventIndex, event_index, iter_bits
+from .evalcore import EventIndex, event_index
 from .formula import (
     And,
     AtControl,
@@ -86,6 +86,7 @@ from .formula import (
     TemporallyPrecedes,
     TrueF,
 )
+from .history import LatticeWalk
 
 
 class _Uncompilable(Exception):
@@ -172,10 +173,11 @@ class CompiledRestriction:
 class CompiledSpec:
     """All compiled restrictions of one specification over one computation.
 
-    Shares one :class:`EventIndex`, one addable-mask cache and one
-    visit budget across its restrictions, mirroring the single
+    Shares one :class:`EventIndex` and one
+    :class:`~repro.core.history.LatticeWalk` (its addable-mask cache and
+    visit budget) across its restrictions, mirroring the single
     ``LatticeChecker`` that ``check_computation`` shares in interpreted
-    mode.  ``visited`` counts compiled (node, history) evaluations
+    mode.  ``walk.visited`` counts compiled (node, history) evaluations
     against ``history_cap`` (the ``checker.compiled_evals`` metric);
     restrictions the compiler rejected map to ``None`` and are listed
     in ``fallback_names``.
@@ -187,9 +189,7 @@ class CompiledSpec:
                  compilable: Optional[Dict[str, bool]] = None) -> None:
         self.computation = computation
         self.index: EventIndex = event_index(computation)
-        self.cap = history_cap
-        self.visited = 0
-        self._addable: Dict[int, int] = {}
+        self.walk = LatticeWalk(computation, history_cap, "compiled checker")
         self.compiled: Dict[str, Optional[CompiledRestriction]] = {}
         self.fallback_names: Tuple[str, ...] = ()
         fallbacks: List[str] = []
@@ -206,51 +206,6 @@ class CompiledSpec:
                     ) -> Optional[CompiledRestriction]:
         """The compiled form, or ``None`` if it fell back."""
         return self.compiled.get(restriction.name)
-
-    def distinct_histories(self) -> int:
-        """Distinct history masks whose addable set was derived -- the
-        explored slice of the lattice (cf.
-        :meth:`LatticeChecker.distinct_histories`)."""
-        return len(self._addable)
-
-    # -- kernel services shared by the compiled closures -------------------
-
-    def bump(self) -> None:
-        self.visited += 1
-        if self.visited > self.cap:
-            raise ComputationError(
-                f"compiled checker visited more than {self.cap} "
-                "(formula, history) pairs; raise history_cap or shrink the "
-                "computation (under temporal_mode=\"auto\" regular "
-                "restrictions are decided on the slice and bypass the walk)"
-            )
-
-    def addable(self, mask: int) -> int:
-        """Addable-events mask, cached per history across every
-        restriction and temporal node of this spec."""
-        a = self._addable.get(mask)
-        if a is None:
-            a = self.index.addable_mask(mask)
-            self._addable[mask] = a
-        return a
-
-    def addable_step(self, parent_addable: int, i: int, child: int) -> int:
-        """Incremental addable update: ``child = parent | (1 << i)``.
-
-        Only events temporally *after* ``i`` can become newly addable,
-        so the scan is over ``i``'s successors instead of all events.
-        """
-        cached = self._addable.get(child)
-        if cached is not None:
-            return cached
-        idx = self.index
-        acc = parent_addable & ~(1 << i)
-        pred = idx.temporal_pred
-        for j in iter_bits(idx.temporal_succ[i] & ~child):
-            if not pred[j] & ~child:
-                acc |= 1 << j
-        self._addable[child] = acc
-        return acc
 
 
 def _compile_restriction(spec: CompiledSpec, restriction: Restriction
@@ -589,7 +544,9 @@ class _Compiler:
             # AG q ≡ q for monotone q: true here means true at every
             # extension, false here already refutes the □
             return node
-        return self._always_walk(node)
+        # AG is monotone in the history: extensions see a subset of the
+        # lattice above, so a true □ stays true
+        return self._walk(node, self.spec.walk.always, True)
 
     def _eventually(self, f: Eventually) -> _Node:
         body = f.body
@@ -623,7 +580,7 @@ class _Compiler:
 
             return self._finish(
                 _Node(fn, True, True, node.free_slots))
-        return self._eventually_walk(node)
+        return self._walk(node, self.spec.walk.eventually, False)
 
     def _is_history_free(self, formula: Formula) -> bool:
         """Cheap static probe used only to pick a hoisting split."""
@@ -636,83 +593,23 @@ class _Compiler:
         except _Uncompilable:
             return False
 
-    def _always_walk(self, body: _Node) -> _Node:
-        """AG body over the lattice: memoised, incremental DFS."""
-        spec = self.spec
+    def _walk(self, body: _Node, walk, monotone: bool) -> _Node:
+        """□/◇ of a non-monotone body: ``walk`` is the spec's shared
+        :meth:`LatticeWalk.always` or :meth:`~LatticeWalk.eventually`,
+        with the compiled body as its leaf and one memo per binding of
+        the body's free slots."""
         bfn = body.fn
         free = tuple(sorted(body.free_slots))
-        memo: Dict[Tuple, bool] = {}
+        memos: Dict[Tuple, Dict[int, bool]] = {}
 
         def fn(m, env):
-            key = (m, tuple(env[s] for s in free))
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            spec.bump()
-            result = True
-            if not bfn(m, env):
-                result = False
-            else:
-                seen = {m}
-                stack = [(m, spec.addable(m))]
-                while stack:
-                    h, add = stack.pop()
-                    bits = add
-                    while bits:
-                        low = bits & -bits
-                        bits ^= low
-                        nm = h | low
-                        if nm in seen:
-                            continue
-                        seen.add(nm)
-                        spec.bump()
-                        if not bfn(nm, env):
-                            result = False
-                            stack.clear()
-                            break
-                        stack.append((
-                            nm,
-                            spec.addable_step(add, low.bit_length() - 1, nm),
-                        ))
-            memo[key] = result
-            return result
+            key = tuple(env[s] for s in free)
+            memo = memos.get(key)
+            if memo is None:
+                memo = memos[key] = {}
+            return walk(bfn, m, env, memo)
 
-        # AG is monotone in the history: extensions see a subset of the
-        # lattice above, so a true □ stays true
-        return _Node(fn, True, False, body.free_slots)
-
-    def _eventually_walk(self, body: _Node) -> _Node:
-        """AF body: every maximal path hits a body-history (memoised)."""
-        spec = self.spec
-        bfn = body.fn
-        free = tuple(sorted(body.free_slots))
-        memo: Dict[Tuple, bool] = {}
-
-        def fn(m, env):
-            key = (m, tuple(env[s] for s in free))
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            spec.bump()
-            if bfn(m, env):
-                memo[key] = True
-                return True
-            add = spec.addable(m)
-            if not add:
-                memo[key] = False
-                return False
-            result = True
-            bits = add
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                if not fn(m | low, env):
-                    result = False
-                    break
-            memo[key] = result
-            return result
-
-        return _Node(fn, False, False, body.free_slots)
+        return _Node(fn, monotone, False, body.free_slots)
 
 
 def _const_true(m, env) -> bool:

@@ -78,19 +78,19 @@ def history_lattice_to_dot(
 ) -> str:
     """Render the history lattice as a DOT digraph (capped)."""
     histories = all_histories(computation, cap=cap)
-    index: Dict[frozenset, int] = {h.events: i for i, h in enumerate(histories)}
+    index: Dict[int, int] = {h.mask: i for i, h in enumerate(histories)}
+    position = computation.temporal_relation.index_table()
     lines: List[str] = [f"digraph {_quote(title)} {{"]
     lines.append('  rankdir="BT";')
     lines.append('  node [shape=ellipse, fontsize=9];')
-    for h, i in ((h, index[h.events]) for h in histories):
+    for i, h in enumerate(histories):
         label = "{" + ", ".join(sorted(str(e) for e in h.events)) + "}"
-        if not h.events:
+        if not h.mask:
             label = "∅"
         lines.append(f"  h{i} [label={_quote(label)}];")
-    for h in histories:
-        i = index[h.events]
+    for i, h in enumerate(histories):
         for eid in h.addable():
-            j = index.get(h.events | {eid})
+            j = index.get(h.mask | 1 << position[eid])
             if j is not None:
                 lines.append(f"  h{i} -> h{j} [label={_quote(str(eid))}];")
     lines.append("}")

@@ -1,10 +1,10 @@
 """Bitmask evaluation kernel shared by the compiled checker.
 
-The lattice interpreter (:mod:`repro.core.checker`) represents a history
-as a ``frozenset`` of :class:`~repro.core.ids.EventId` and re-derives
-frontier/addable sets through Python iterators on every call.  The
-compiled checker (:mod:`repro.core.compile`) instead fixes one dense
-event indexing per computation and works with plain ``int`` bitmasks:
+Histories are bitmasks over event positions throughout the package (see
+:mod:`repro.core.history`); this module gathers, once per computation,
+every per-event table the compiled checker
+(:mod:`repro.core.compile`) and the slice (:mod:`repro.core.slice`)
+read:
 
 * a history is an ``int`` with bit *i* set iff event *i* has occurred;
 * the child of history ``m`` adding event *i* is ``m | (1 << i)``;
@@ -24,20 +24,13 @@ share the same tables.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .computation import Computation
 from .event import Event
-from .history import History
+from .history import addable_mask
 from .ids import EventId
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .order import iter_bits
 
 
 class EventIndex:
@@ -90,47 +83,12 @@ class EventIndex:
         self.threads: Tuple[frozenset, ...] = tuple(
             ev.threads for ev in self.events)
 
-    # -- history/mask conversion ------------------------------------------
-
-    def mask_of(self, eids) -> int:
-        """Bitmask of an iterable of event ids."""
-        acc = 0
-        index_of = self.index_of
-        for eid in eids:
-            acc |= 1 << index_of[eid]
-        return acc
-
-    def history_of(self, mask: int) -> History:
-        """The :class:`History` a mask denotes (trusted: masks produced
-        by the kernel are down-closed by construction)."""
-        events = self.events
-        return History(
-            self.computation,
-            (events[i].eid for i in iter_bits(mask)),
-            _trusted=True,
-        )
-
     # -- lattice steps ------------------------------------------------------
 
     def addable_mask(self, mask: int) -> int:
         """Events that could extend history ``mask`` (the *potential*
         events): not occurred, every temporal predecessor occurred."""
-        acc = 0
-        pred = self.temporal_pred
-        remaining = self.full_mask & ~mask
-        for i in iter_bits(remaining):
-            if not pred[i] & ~mask:
-                acc |= 1 << i
-        return acc
-
-    def frontier_mask(self, mask: int) -> int:
-        """Members of ``mask`` with no temporal successor inside it."""
-        acc = 0
-        succ = self.temporal_succ
-        for i in iter_bits(mask):
-            if not succ[i] & mask:
-                acc |= 1 << i
-        return acc
+        return addable_mask(self.temporal_pred, self.full_mask, mask)
 
     def down_closure(self, mask: int) -> int:
         """``mask`` plus every temporal predecessor of its members -- the

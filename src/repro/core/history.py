@@ -19,11 +19,23 @@ interpreted over them (see :mod:`repro.core.formula`).
 One way of viewing a GEM computation "is as the set of all of its valid
 history sequences"; the enumerators here realise that view for finite
 computations, with caps because vhs counts grow explosively.
+
+Representation: a history is a bitmask over the event positions the
+:class:`~repro.core.computation.Computation` constructor assigns (bit
+*i* is ``computation.events[i]``), and every lattice step is an int
+operation on ⇒'s memoised closure tables.  The ``frozenset`` of
+:class:`~repro.core.ids.EventId` that :attr:`History.events` returns
+is built lazily, once per instance, for callers that read it.
+:class:`LatticeWalk` is the one AG/AF walk over those masks; the lattice
+interpreter and the compiled checker both run their temporal operators
+through it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -31,13 +43,36 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 from .computation import Computation
 from .errors import ComputationError
 from .ids import EventId
+from .order import iter_bits
+
+
+def addable_mask(pred: List[int], full: int, mask: int) -> int:
+    """Positions that could extend history ``mask``: not occurred, every
+    predecessor in ``pred`` (a closure predecessor table) occurred."""
+    acc = 0
+    rest = full & ~mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if not pred[low.bit_length() - 1] & ~mask:
+            acc |= low
+    return acc
+
+
+def id_ranks(computation: Computation) -> List[int]:
+    """``rank[i]``: where event *i*'s id falls in sorted-``EventId``
+    order, so sorting positions by rank sorts them by id."""
+    nodes = computation.temporal_relation.nodes
+    rank = [0] * len(nodes)
+    for r, i in enumerate(sorted(range(len(nodes)), key=nodes.__getitem__)):
+        rank[i] = r
+    return rank
 
 
 class History:
@@ -48,27 +83,37 @@ class History:
     computations never compare equal.
     """
 
-    __slots__ = ("_comp", "_events", "_hash", "_frontier", "_addable")
+    __slots__ = ("_comp", "_pos", "_mask", "_events", "_frontier",
+                 "_addable")
 
     def __init__(self, computation: Computation, events: Iterable[EventId],
                  _trusted: bool = False):
-        self._comp = computation
-        self._frontier: Optional[FrozenSet[EventId]] = None
-        self._addable: Optional[FrozenSet[EventId]] = None
-        ev_set = frozenset(events)
-        if not _trusted:
-            for eid in ev_set:
-                if eid not in computation:
-                    raise ComputationError(
-                        f"history references {eid}, not in the computation"
-                    )
-            if not computation.temporal_relation.is_down_closed(ev_set):
+        order = computation.temporal_relation
+        index = order.index_table()
+        mask = 0
+        for eid in events:
+            if eid not in index:
                 raise ComputationError(
-                    "history is not downward closed: some member has a "
-                    "temporal predecessor outside the history"
-                )
-        self._events = ev_set
-        self._hash = hash((id(computation), ev_set))
+                    f"history references {eid}, not in the computation")
+            mask |= 1 << index[eid]
+        pred = order.closure_pred_table()
+        if not _trusted and any(pred[i] & ~mask for i in iter_bits(mask)):
+            raise ComputationError(
+                "history is not downward closed: some member has a "
+                "temporal predecessor outside the history"
+            )
+        self._comp, self._pos, self._mask = computation, index, mask
+        self._events = self._frontier = self._addable = None
+
+    @classmethod
+    def of_mask(cls, computation: Computation, mask: int) -> "History":
+        """The history whose members are the set bits of ``mask``
+        (trusted: the caller guarantees a down-set)."""
+        h = cls.__new__(cls)
+        h._comp, h._mask = computation, mask
+        h._pos = computation.temporal_relation.index_table()
+        h._events = h._frontier = h._addable = None
+        return h
 
     # -- basics ------------------------------------------------------------
 
@@ -77,47 +122,59 @@ class History:
         return self._comp
 
     @property
+    def mask(self) -> int:
+        """Bit *i* set iff ``computation.events[i]`` has occurred."""
+        return self._mask
+
+    @property
     def events(self) -> FrozenSet[EventId]:
+        if self._events is None:
+            self._events = self._ids(self._mask)
         return self._events
 
+    def _ids(self, mask: int) -> FrozenSet[EventId]:
+        nodes = self._comp.temporal_relation.nodes
+        return frozenset(nodes[i] for i in iter_bits(mask))
+
     def __len__(self) -> int:
-        return len(self._events)
+        return self._mask.bit_count()
 
     def __contains__(self, eid: EventId) -> bool:
-        return eid in self._events
+        return self.occurred(eid)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, History)
             and self._comp is other._comp
-            and self._events == other._events
+            and self._mask == other._mask
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((id(self._comp), self._mask))
 
     def __le__(self, other: "History") -> bool:
         """Prefix relation between histories of the same computation."""
         if self._comp is not other._comp:
             raise ComputationError("histories of different computations")
-        return self._events <= other._events
+        return not self._mask & ~other._mask
 
     def __lt__(self, other: "History") -> bool:
-        return self <= other and self._events != other._events
+        return self <= other and self._mask != other._mask
 
     def __repr__(self) -> str:
-        names = ", ".join(str(e) for e in sorted(self._events))
+        names = ", ".join(str(e) for e in sorted(self.events))
         return f"History({{{names}}})"
 
     # -- GEM predicates over histories -----------------------------------------
 
     def occurred(self, eid: EventId) -> bool:
         """``occurred(e)`` evaluated at this history."""
-        return eid in self._events
+        i = self._pos.get(eid)
+        return i is not None and bool(self._mask >> i & 1)
 
     def is_complete(self) -> bool:
         """True iff this history is the whole computation."""
-        return len(self._events) == len(self._comp)
+        return self._mask.bit_count() == len(self._comp)
 
     def frontier(self) -> FrozenSet[EventId]:
         """Members with no temporal successor inside the history.
@@ -126,13 +183,10 @@ class History:
         so the result is computed once and cached on the instance.
         """
         if self._frontier is None:
-            temporal = self._comp.temporal_relation
-            out: Set[EventId] = set()
-            for eid in self._events:
-                if all(s not in self._events
-                       for s in temporal.successors(eid)):
-                    out.add(eid)
-            self._frontier = frozenset(out)
+            succ = self._comp.temporal_relation.closure_table()
+            mask = self._mask
+            self._frontier = self._ids(sum(
+                1 << i for i in iter_bits(mask) if not succ[i] & mask))
         return self._frontier
 
     def addable(self) -> FrozenSet[EventId]:
@@ -143,23 +197,18 @@ class History:
         instance (see :meth:`frontier`).
         """
         if self._addable is None:
-            temporal = self._comp.temporal_relation
-            out: Set[EventId] = set()
-            for ev in self._comp.events:
-                if ev.eid in self._events:
-                    continue
-                if all(p in self._events
-                       for p in temporal.predecessors(ev.eid)):
-                    out.add(ev.eid)
-            self._addable = frozenset(out)
+            pred = self._comp.temporal_relation.closure_pred_table()
+            self._addable = self._ids(addable_mask(
+                pred, (1 << len(self._comp)) - 1, self._mask))
         return self._addable
 
     def potential(self, eid: EventId) -> bool:
         """The paper's ``potential(e)``: e may legally extend this history."""
-        if eid in self._events:
+        i = self._pos.get(eid)
+        if i is None or self._mask >> i & 1:
             return False
-        temporal = self._comp.temporal_relation
-        return all(p in self._events for p in temporal.predecessors(eid))
+        pred = self._comp.temporal_relation.closure_pred_table()
+        return not pred[i] & ~self._mask
 
     def new(self, eid: EventId) -> bool:
         """The paper's ``new(e)``: e occurred, and nothing observably follows it.
@@ -167,10 +216,11 @@ class History:
         ``new(e) ≡ occurred(e) ∧ ¬∃e' [e ⇒ e']`` evaluated inside the
         history: e is in the history and no temporal successor of e is.
         """
-        if eid not in self._events:
+        i = self._pos.get(eid)
+        if i is None or not self._mask >> i & 1:
             return False
-        temporal = self._comp.temporal_relation
-        return all(s not in self._events for s in temporal.successors(eid))
+        succ = self._comp.temporal_relation.closure_table()
+        return not succ[i] & self._mask
 
     def at(self, eid: EventId, target_class_events: Iterable[EventId]) -> bool:
         """The paper's ``e₁ at E₂``: e₁ occurred and has not enabled an E₂ event.
@@ -179,27 +229,139 @@ class History:
         the event class E₂; the check is whether any of them both occurred
         in this history and is enabled by ``eid``.
         """
-        if eid not in self._events:
-            return False
         enable = self._comp.enable_relation
-        for target in target_class_events:
-            if target in self._events and enable.holds(eid, target):
-                return False
-        return True
+        return self.occurred(eid) and not any(
+            self.occurred(target) and enable.holds(eid, target)
+            for target in target_class_events)
 
     def extend(self, new_events: Iterable[EventId]) -> "History":
         """History with ``new_events`` added (validated down-closed)."""
-        return History(self._comp, self._events | set(new_events))
+        return History(self._comp, self.events | set(new_events))
 
 
 def empty_history(computation: Computation) -> History:
     """The empty prefix of ``computation``."""
-    return History(computation, frozenset(), _trusted=True)
+    return History.of_mask(computation, 0)
 
 
 def full_history(computation: Computation) -> History:
     """The complete computation viewed as a history."""
-    return History(computation, (ev.eid for ev in computation.events), _trusted=True)
+    return History.of_mask(computation, (1 << len(computation)) - 1)
+
+
+class LatticeWalk:
+    """The one AG/AF walk over a computation's history lattice, on masks.
+
+    The interpreter (:class:`repro.core.checker.LatticeChecker`) and the
+    compiled checker (:class:`repro.core.compile.CompiledSpec`) each own
+    one per computation and run every □ and ◇ through it, with a *leaf*
+    ``leaf(mask, env) -> bool`` evaluating the body at one history.  It
+    holds their shared addable-mask cache and the visit budget (past
+    ``cap`` it raises, naming ``who``).  ◇ visits children lowest
+    position first, or in sorted-``EventId`` order with ``id_order``;
+    ``visited`` and the cap boundary depend on the order, verdicts not.
+    """
+
+    def __init__(self, computation: Computation, cap: int, who: str,
+                 id_order: bool = False) -> None:
+        order = computation.temporal_relation
+        self.computation = computation
+        self.visited = 0
+        self._cap = cap
+        self._who = who
+        self._id_order = id_order
+        self._pred = order.closure_pred_table()
+        self._succ = order.closure_table()
+        self._full = (1 << len(computation)) - 1
+        self._addable: Dict[int, int] = {}
+        self._rank: Optional[List[int]] = None
+
+    def bump(self) -> None:
+        self.visited += 1
+        if self.visited > self._cap:
+            raise ComputationError(
+                f"{self._who} visited more than {self._cap} "
+                "(formula, history) pairs; raise history_cap or shrink the "
+                "computation (under temporal_mode=\"auto\" regular "
+                "restrictions are decided on the slice and bypass the walk)"
+            )
+
+    def explored(self) -> int:
+        """Distinct histories whose addable set was derived."""
+        return len(self._addable)
+
+    def addable(self, mask: int) -> int:
+        """Addable-positions mask of history ``mask``, cached."""
+        a = self._addable.get(mask)
+        if a is None:
+            a = self._addable[mask] = addable_mask(self._pred, self._full,
+                                                   mask)
+        return a
+
+    def _step(self, parent_addable: int, i: int, child: int) -> int:
+        """Addable mask of ``child = parent | (1 << i)``: only ``i``'s
+        successors can become addable, so only they are rescanned."""
+        acc = self._addable.get(child)
+        if acc is None:
+            acc = parent_addable & ~(1 << i)
+            for j in iter_bits(self._succ[i] & ~child):
+                if not self._pred[j] & ~child:
+                    acc |= 1 << j
+            self._addable[child] = acc
+        return acc
+
+    def by_id(self, bits: int) -> List[int]:
+        """The set positions of ``bits`` in sorted-``EventId`` order."""
+        if self._rank is None:
+            self._rank = id_ranks(self.computation)
+        return sorted(iter_bits(bits), key=self._rank.__getitem__)
+
+    def always(self, leaf: Callable, mask: int, env,
+               memo: Dict[int, bool]) -> bool:
+        """AG: ``leaf`` holds at every history ⊇ ``mask``.  ``memo`` maps
+        start masks to verdicts, one dict per (body, bindings)."""
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        self.bump()
+        result = bool(leaf(mask, env))
+        seen = {mask}
+        stack = [(mask, self.addable(mask))] if result else []
+        while stack and result:
+            h, add = stack.pop()
+            bits = add
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                child = h | low
+                if child not in seen:
+                    seen.add(child)
+                    self.bump()
+                    if not leaf(child, env):
+                        result = False
+                        break
+                    stack.append((child, self._step(
+                        add, low.bit_length() - 1, child)))
+        memo[mask] = result
+        return result
+
+    def eventually(self, leaf: Callable, mask: int, env,
+                   memo: Dict[int, bool]) -> bool:
+        """AF: every maximal path from ``mask`` hits a ``leaf`` history
+        (``memo`` as in :meth:`always`, over every visited mask)."""
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        self.bump()
+        result = bool(leaf(mask, env))
+        if not result:
+            add = self.addable(mask)
+            result = bool(add) and all(
+                self.eventually(leaf, mask | 1 << i, env, memo)
+                for i in (self.by_id(add) if self._id_order
+                          else iter_bits(add)))
+        memo[mask] = result
+        return result
 
 
 def all_histories(
@@ -207,30 +369,33 @@ def all_histories(
 ) -> List[History]:
     """Every history (down-set) of ``computation``, smallest first.
 
-    ``cap`` bounds the number produced (ComputationError past the cap) --
-    down-set counts are exponential in the width of the order.
+    Ties break by sorted event ids.  ``cap`` bounds the number produced
+    (ComputationError past the cap) -- down-set counts are exponential
+    in the width of the order.
     """
-    seen: Set[FrozenSet[EventId]] = set()
-    out: List[History] = []
-    start = empty_history(computation)
-    queue: List[History] = [start]
-    seen.add(start.events)
+    pred = computation.temporal_relation.closure_pred_table()
+    full = (1 << len(computation)) - 1
+    seen = {0}
+    queue = deque([0])
+    masks: List[int] = []
     while queue:
-        h = queue.pop(0)
-        if include_empty or h.events:
-            out.append(h)
-            if cap is not None and len(out) > cap:
+        m = queue.popleft()
+        if include_empty or m:
+            masks.append(m)
+            if cap is not None and len(masks) > cap:
                 raise ComputationError(
                     f"more than {cap} histories; raise the cap or shrink the "
                     "computation"
                 )
-        for eid in sorted(h.addable()):
-            nxt = h.events | {eid}
+        for i in iter_bits(addable_mask(pred, full, m)):
+            nxt = m | 1 << i
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append(History(computation, nxt, _trusted=True))
-    out.sort(key=lambda h: (len(h.events), tuple(sorted(h.events))))
-    return out
+                queue.append(nxt)
+    rank = id_ranks(computation)
+    masks.sort(key=lambda m: (m.bit_count(),
+                              sorted(rank[i] for i in iter_bits(m))))
+    return [History.of_mask(computation, m) for m in masks]
 
 
 class HistorySequence:
@@ -249,18 +414,19 @@ class HistorySequence:
         if not hs:
             raise ComputationError("a history sequence needs at least one history")
         comp = hs[0].computation
-        temporal = comp.temporal_relation
+        succ = comp.temporal_relation.closure_table()
         for i, (prev, cur) in enumerate(zip(hs, hs[1:]), start=1):
             if cur.computation is not comp:
                 raise ComputationError("histories of different computations")
-            if not prev.events <= cur.events:
+            if not prev <= cur:
                 raise ComputationError(
                     f"history sequence not monotonically increasing at step {i}"
                 )
-            added = cur.events - prev.events
-            if not temporal.is_antichain(added):
+            added = cur.mask & ~prev.mask
+            if any(succ[j] & added for j in iter_bits(added)):
                 raise ComputationError(
-                    f"step {i} adds temporally ordered events {sorted(added)}; "
+                    f"step {i} adds temporally ordered events "
+                    f"{sorted(cur.events - prev.events)}; "
                     "simultaneous events must be potentially concurrent"
                 )
         self._histories = tuple(hs)
@@ -310,31 +476,30 @@ class HistorySequence:
 
 
 def _antichains(
-    candidates: Sequence[EventId], temporal, max_step: Optional[int]
-) -> Iterator[FrozenSet[EventId]]:
-    """Non-empty antichains among ``candidates`` (already all addable)."""
+    candidates: Sequence[int], order, max_step: Optional[int]
+) -> Iterator[int]:
+    """Non-empty antichains among ``candidates`` (positions, already all
+    addable), as masks."""
     n = len(candidates)
     limit = n if max_step is None else min(n, max_step)
+    succ = order.closure_table()
+    pred = order.closure_pred_table()
 
-    def rec(start: int, chosen: List[EventId]) -> Iterator[FrozenSet[EventId]]:
-        if chosen:
-            yield frozenset(chosen)
-        if len(chosen) == limit:
+    def rec(start: int, chosen: int, size: int) -> Iterator[int]:
+        if size:
+            yield chosen
+        if size == limit:
             return
         for i in range(start, n):
             c = candidates[i]
-            # addable events are pairwise unordered only if concurrent;
             # two addable events can never be temporally ordered (an
             # ordered pair cannot both have all predecessors satisfied
             # while the later one's predecessor -- the earlier -- is
-            # absent) unless the earlier is among the chosen.  Guard
-            # anyway for clarity.
-            if all(temporal.concurrent(c, x) for x in chosen):
-                chosen.append(c)
-                yield from rec(i + 1, chosen)
-                chosen.pop()
+            # absent).  Guard anyway for clarity.
+            if not (succ[c] | pred[c]) & chosen:
+                yield from rec(i + 1, chosen | 1 << c, size + 1)
 
-    return rec(0, [])
+    return rec(0, 0, 0)
 
 
 def maximal_history_sequences(
@@ -350,21 +515,25 @@ def maximal_history_sequences(
     the stutter-insensitive formulae used in this reproduction (see
     :mod:`repro.core.checker`).  ``max_step=None`` allows arbitrary
     antichain steps (the full Section 7 semantics).  ``cap`` bounds the
-    number of sequences yielded.
+    number of sequences yielded.  Steps are tried in sorted-id order.
     """
     produced = 0
+    order = computation.temporal_relation
+    pred = order.closure_pred_table()
+    full = (1 << len(computation)) - 1
+    rank = id_ranks(computation)
 
     def rec(prefix: List[History]) -> Iterator[HistorySequence]:
         nonlocal produced
-        current = prefix[-1]
-        if current.is_complete():
+        current = prefix[-1].mask
+        if current == full:
             produced += 1
             yield HistorySequence(prefix)
             return
-        addable = sorted(current.addable())
-        temporal = computation.temporal_relation
-        for step in _antichains(addable, temporal, max_step):
-            prefix.append(History(computation, current.events | step, _trusted=True))
+        addable = sorted(iter_bits(addable_mask(pred, full, current)),
+                         key=rank.__getitem__)
+        for step in _antichains(addable, order, max_step):
+            prefix.append(History.of_mask(computation, current | step))
             for seq in rec(prefix):
                 yield seq
                 if cap is not None and produced >= cap:
@@ -379,22 +548,23 @@ def count_maximal_history_sequences(
     computation: Computation, max_step: Optional[int] = 1, cap: int = 10_000_000
 ) -> int:
     """Count maximal vhs (memoised on the reached history), up to ``cap``."""
-    temporal = computation.temporal_relation
-    memo: Dict[FrozenSet[EventId], int] = {}
-    total_events = len(computation)
+    order = computation.temporal_relation
+    pred = order.closure_pred_table()
+    full = (1 << len(computation)) - 1
+    memo: Dict[int, int] = {}
 
-    def count(events: FrozenSet[EventId]) -> int:
-        if len(events) == total_events:
+    def count(mask: int) -> int:
+        if mask == full:
             return 1
-        if events in memo:
-            return memo[events]
-        h = History(computation, events, _trusted=True)
+        if mask in memo:
+            return memo[mask]
         total = 0
-        for step in _antichains(sorted(h.addable()), temporal, max_step):
-            total += count(events | step)
+        addable = list(iter_bits(addable_mask(pred, full, mask)))
+        for step in _antichains(addable, order, max_step):
+            total += count(mask | step)
             if total >= cap:
                 break
-        memo[events] = min(total, cap)
-        return memo[events]
+        memo[mask] = min(total, cap)
+        return memo[mask]
 
-    return count(frozenset())
+    return count(0)

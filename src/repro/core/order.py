@@ -40,6 +40,14 @@ from .errors import CycleError
 N = TypeVar("N", bound=Hashable)
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Relation:
     """A finite binary relation over a fixed node universe.
 
@@ -158,10 +166,7 @@ class Relation:
                 yield (a, b)
 
     def _iter_bits(self, bits: int) -> Iterator[N]:
-        while bits:
-            low = bits & -bits
-            yield self._nodes[low.bit_length() - 1]
-            bits ^= low
+        return map(self._nodes.__getitem__, iter_bits(bits))
 
     def _transpose(self, table: List[int]) -> List[int]:
         out = [0] * len(table)
@@ -360,11 +365,7 @@ class Relation:
         return None
 
     def _succ_indices(self, i: int) -> Iterator[int]:
-        bits = self._succ[i]
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return iter_bits(self._succ[i])
 
     def transitive_closure(self) -> "Relation":
         """The strict transitive closure as a new Relation.

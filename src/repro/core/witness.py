@@ -19,8 +19,9 @@ original check; it is invoked only on failure.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .computation import Computation
 from .event import Event
@@ -187,59 +188,58 @@ def _search_temporal(
             or Witness(history, dict(env), trail))
 
 
+def _holds_at(checker, body, computation, mask, env) -> bool:
+    h = History.of_mask(computation, mask)
+    return (checker.holds(body, h, env) if body.is_temporal()
+            else body.holds_at(h, env))
+
+
 def _first_failing_history(computation, body, start, env, checker, visited,
                            cap) -> Optional[History]:
-    """BFS over the lattice from ``start`` for a history falsifying body."""
-    seen = {start.events}
-    queue = [start]
+    """BFS over the lattice from ``start`` for a history falsifying body,
+    queueing children in sorted-``EventId`` order."""
+    walk = checker.walk
+    seen = {start.mask}
+    queue = deque([start.mask])
     while queue:
-        h = queue.pop(0)
+        mask = queue.popleft()
         visited[0] += 1
         if visited[0] > cap:
             return None
-        if not checker.holds(body, h, env) if body.is_temporal() else (
-                not body.holds_at(h, env)):
-            return h
-        for eid in sorted(h.addable()):
-            nxt = h.events | {eid}
+        if not _holds_at(checker, body, computation, mask, env):
+            return History.of_mask(computation, mask)
+        for i in walk.by_id(walk.addable(mask)):
+            nxt = mask | 1 << i
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append(History(computation, nxt, _trusted=True))
+                queue.append(nxt)
     return None
 
 
 def _path_avoiding(computation, body, start, env, checker, visited,
                    cap) -> Optional[History]:
     """A maximal history reachable from ``start`` along a path on which
-    the ◇ body never holds; returns the path's final history."""
+    the ◇ body never holds (children tried in sorted-``EventId`` order);
+    returns the path's final history."""
+    walk = checker.walk
+    memo: Dict[int, Optional[int]] = {}
 
-    def holds_here(h: History) -> bool:
-        return (checker.holds(body, h, env) if body.is_temporal()
-                else body.holds_at(h, env))
-
-    memo: Dict[frozenset, Optional[History]] = {}
-
-    def search(h: History) -> Optional[History]:
-        key = h.events
-        if key in memo:
-            return memo[key]
+    def search(mask: int) -> Optional[int]:
+        if mask in memo:
+            return memo[mask]
         visited[0] += 1
         if visited[0] > cap:
             return None
-        if holds_here(h):
-            memo[key] = None
-            return None
-        addable = sorted(h.addable())
-        if not addable:
-            memo[key] = h
-            return h
-        for eid in addable:
-            nxt = History(computation, h.events | {eid}, _trusted=True)
-            found = search(nxt)
-            if found is not None:
-                memo[key] = found
-                return found
-        memo[key] = None
-        return None
+        found = None
+        if not _holds_at(checker, body, computation, mask, env):
+            addable = walk.addable(mask)
+            found = None if addable else mask
+            for i in walk.by_id(addable):
+                found = search(mask | 1 << i)
+                if found is not None:
+                    break
+        memo[mask] = found
+        return found
 
-    return search(start)
+    found = search(start.mask)
+    return None if found is None else History.of_mask(computation, found)

@@ -299,6 +299,82 @@ class TestOneKahnPass:
             for rel in (c.temporal_relation, c.enable_relation):
                 assert rel not in kahn and rel not in closure_dp
 
+    def test_histories_read_positions_without_an_event_index(
+            self, monkeypatch):
+        """A history is a mask over the positions ⇒ already indexes:
+        building one, or walking the interpreter's lattice, neither calls
+        :func:`~repro.core.evalcore.event_index` nor builds an
+        :class:`~repro.core.evalcore.EventIndex`."""
+        import repro.core.evalcore as evalcore
+        from repro.core.checker import LatticeChecker
+        from repro.core.history import History, empty_history, full_history
+
+        built = []
+        real_init = evalcore.EventIndex.__init__
+        real_call = evalcore.event_index
+
+        def counting_init(index, computation):
+            built.append(computation)
+            real_init(index, computation)
+
+        def counting_call(computation):
+            built.append(computation)
+            return real_call(computation)
+
+        monkeypatch.setattr(evalcore.EventIndex, "__init__", counting_init)
+        monkeypatch.setattr(evalcore, "event_index", counting_call)
+        comp, spec, _corr = self.catalog_run()
+        labelled = spec.label_threads(comp)
+        empty_history(labelled)
+        full_history(labelled)
+        History(labelled, [labelled.events[0].eid])
+        checker = LatticeChecker(labelled)
+        for r in spec.all_restrictions():
+            if r.formula.is_temporal():
+                checker.holds(r.formula)
+        assert checker.visited
+        assert built == []
+
+    def test_lattice_walk_builds_id_sets_only_for_readers(self, monkeypatch):
+        """The interpreter's walk hands leaves mask histories; the
+        ``EventId`` frozenset is built once per history a leaf reads
+        ``.events`` of, and never otherwise."""
+        from repro.core.checker import LatticeChecker
+        from repro.core.formula import (
+            Eventually,
+            Exists,
+            Henceforth,
+            Occurred,
+            PyPred,
+        )
+        from repro.core.history import History
+
+        sets = []
+        real = History._ids
+
+        def counting(history, mask):
+            sets.append(mask)
+            return real(history, mask)
+
+        monkeypatch.setattr(History, "_ids", counting)
+        comp, _events = diamond()
+        top = len(comp)
+        blind = Henceforth(PyPred("occurred-only", lambda h, env: all(
+            h.occurred(ev.eid) or not h.occurred(ev.eid)
+            for ev in h.computation.events)))
+        assert LatticeChecker(comp).holds(blind)
+        assert LatticeChecker(comp).holds(
+            Eventually(Exists("e", comp.events[-1].event_class,
+                              Occurred("e"))))
+        assert sets == []
+
+        reads = Henceforth(PyPred("reads-events",
+                                  lambda h, env: len(h.events) <= top))
+        checker = LatticeChecker(comp)
+        assert checker.holds(reads)
+        assert len(sets) == checker.visited
+        assert len(set(sets)) == len(sets)
+
     def test_relations_are_indexed_in_event_order(self):
         """The invariant :class:`~repro.core.evalcore.EventIndex` relies
         on to share ⇒'s and ⊳'s tables instead of remapping them."""

@@ -92,6 +92,19 @@ class TestHistoryPredicates:
         assert not h.potential(e4.eid)
         assert not h.potential(e1.eid)  # already occurred
 
+    def test_foreign_event_is_never_potential(self):
+        """Like ``new``, ``occurred`` and ``at``, ``potential`` answers
+        False for an event outside the computation instead of raising."""
+        from repro.core import EventId
+
+        c, (e1, *_r) = paper_diamond()
+        outsider = EventId("Nope", 1)
+        for h in (empty_history(c), History(c, {e1.eid}), full_history(c)):
+            assert not h.potential(outsider)
+            assert not h.new(outsider)
+            assert not h.occurred(outsider)
+            assert not h.at(outsider, [e1.eid])
+
     def test_frontier(self):
         c, (e1, e2, e3, e4) = paper_diamond()
         h = History(c, {e1.eid, e2.eid, e3.eid})

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import case_catalog
-from repro.core import all_histories
+from repro.core import History, all_histories
 from repro.core.checker import (
     RestrictionOutcome,
     check_computation,
@@ -190,10 +190,10 @@ def test_every_cube_cut_satisfies_the_predicate(drawn):
     got = _cube_cuts(comp, formula)
     if got is None:
         return
-    index, cube_cuts = got
+    _index, cube_cuts = got
     for _cube, cuts in cube_cuts:
         for mask in sorted(cuts)[:32]:
-            history = index.history_of(mask)
+            history = History.of_mask(comp, mask)
             assert formula.holds_at(history), (
                 f"cut {mask:b} in a cube but formula false")
 
@@ -207,13 +207,13 @@ def test_cubes_cover_exactly_the_satisfying_histories(drawn):
     got = _cube_cuts(comp, formula)
     if got is None:
         return
-    index, cube_cuts = got
+    _index, cube_cuts = got
     union = set()
     for _cube, cuts in cube_cuts:
         union |= cuts
     lattice = {}
     for history in all_histories(comp, cap=4096):
-        lattice[index.mask_of(history.events)] = history
+        lattice[history.mask] = history
     assert union <= set(lattice), "slice contains a non-history cut"
     satisfying = {m for m, h in lattice.items() if formula.holds_at(h)}
     assert union == satisfying
