@@ -25,14 +25,7 @@ from .checker import (
     check_restriction,
     check_safety_at_all_histories,
 )
-from .compile import (
-    CompiledRestriction,
-    CompiledSpec,
-    SpecPlan,
-    bind_restriction,
-    is_compilable,
-    plan_for,
-)
+from .compile import CompiledRestriction, CompiledSpec
 from .compose import parallel_compose, restrict_events, sequential_compose
 from .computation import Computation, ComputationBuilder
 from .evalcore import EventIndex, event_index, iter_bits
@@ -110,6 +103,7 @@ from .ids import (
 )
 from .legality import check_legality
 from .order import Relation
+from .plan import SpecPlan, plan_for
 from .dot import computation_to_dot, history_lattice_to_dot
 from .dynamic_groups import (
     ADD_GROUP_MEMBER,
@@ -163,9 +157,9 @@ __all__ = [
     "check_computation", "check_restriction",
     "check_safety_at_all_histories", "CheckResult", "RestrictionOutcome",
     "LatticeChecker",
-    # compiled checking
-    "CompiledRestriction", "CompiledSpec", "SpecPlan", "bind_restriction",
-    "is_compilable", "plan_for", "EventIndex", "event_index", "iter_bits",
+    # restriction plans and compiled checking
+    "SpecPlan", "plan_for", "CompiledRestriction", "CompiledSpec",
+    "EventIndex", "event_index", "iter_bits",
     # errors
     "GemError", "SpecificationError", "ComputationError", "CycleError",
     "LegalityViolation", "RestrictionViolation", "VerificationError",

@@ -67,51 +67,50 @@ emitted no correspondence-kept event (no freeze, no projection), guard
 evaluation is memoised per projected-prefix fingerprint (diamond
 prefixes collapse), probing stops after :data:`DEFAULT_PROBE_BUDGET`
 guard evaluations and :data:`DEFAULT_PROJECTION_BUDGET` projections, a
-quantifier cap rules out grounding blow-ups up front, and the per-spec
-analysis (:class:`AutomataPlan`) is cached both on the spec instance
-and in a module-level table keyed by spec fingerprint so resident
-serve workers never re-analyse a resubmitted workload.
+quantifier cap rules out grounding blow-ups up front, and the
+automata are part of the specification's one
+:class:`~repro.core.plan.SpecPlan`, built once per specification
+content, so resident serve workers never re-analyse a resubmitted
+workload.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .formula import (
     And,
-    AtControl,
     AtElement,
     AtMostOne,
-    Concurrent,
-    DataCmp,
-    DataEq,
-    DistinctThreads,
     ElementPrecedes,
     Enables,
-    EventEq,
     Eventually,
     Exists,
     ExistsUnique,
-    FalseF,
     ForAll,
     Formula,
     Henceforth,
     Iff,
     Implies,
-    New,
     Not,
     Occurred,
     Or,
-    Potential,
     PyPred,
     Restriction,
-    SameThread,
     TemporallyPrecedes,
     TrueF,
 )
 from .history import full_history
+from .plan import (
+    HISTORY_INDEPENDENT,
+    MONOTONE_ATOMS,
+    STABLE_ATOMS,
+    CheckContext,
+    SpecPlan,
+    plan_for,
+    shape,
+)
 
 #: Per-monitor probe budget: after this many guard evaluations (memo
 #: misses, each one restriction check on one projected prefix) an
@@ -127,8 +126,6 @@ DEFAULT_PROJECTION_BUDGET = 8192
 DEFAULT_QUANTIFIER_CAP = 8
 #: Memoised guard verdicts kept per monitor (prefix fingerprints).
 _GUARD_MEMO_CAP = 4096
-#: Module-level AutomataPlan cache entries kept (spec fingerprints).
-_PLAN_CACHE_CAP = 128
 
 # -- automaton kinds --------------------------------------------------------
 
@@ -144,41 +141,10 @@ WATCH = "watch"
 ACCEPT = "accept"
 REJECT = "reject"
 
-#: Atoms whose value depends only on the bound events and the
-#: computation's (extension-stable) relations -- never on the history.
-_HISTORY_INDEPENDENT = (TrueF, FalseF, Concurrent, EventEq, DataEq,
-                        DataCmp, SameThread, DistinctThreads)
-#: Atoms monotone-increasing in the history (each is "relation holds and
-#: the operands occurred"): once true at a cut, true at every extension.
-_MONOTONE_ATOMS = (Occurred, AtElement, Enables, ElementPrecedes,
-                   TemporallyPrecedes)
-#: Atoms extension-stable at a *fixed* cut but not monotone (``new``,
-#: ``potential``, ``at`` can flip in both directions as the cut grows).
-_STABLE_ATOMS = (New, Potential, AtControl)
-
-
-def _count_quantifiers(f: Formula) -> int:
-    n = 1 if isinstance(f, (ForAll, Exists, ExistsUnique, AtMostOne)) else 0
-    return n + sum(_count_quantifiers(c) for c in f._children())
-
-
-def _history_independent(f: Formula) -> bool:
-    """Every atom of ``f`` is history-independent; no temporal, no PyPred."""
-    if isinstance(f, _HISTORY_INDEPENDENT):
-        return True
-    if isinstance(f, (_MONOTONE_ATOMS + _STABLE_ATOMS)) or isinstance(
-            f, (PyPred, Henceforth, Eventually)):
-        return False
-    if isinstance(f, (ForAll, Exists, ExistsUnique, AtMostOne, Not, And, Or,
-                      Implies, Iff)):
-        return all(_history_independent(c) for c in f._children())
-    return False
-
-
 def _occ_guarded(f: Formula, var: str) -> bool:
     """``f`` true at a cut forces ``occurred(var)`` at that cut.
 
-    Sound syntactic under-approximation: every :data:`_MONOTONE_ATOMS`
+    Sound syntactic under-approximation: every :data:`MONOTONE_ATOMS`
     atom's evaluation conjoins ``history.occurred`` for each operand, so
     any such atom mentioning ``var`` guards it.  Events *new* in an
     extension are never members of a prefix cut, so a guarded body can
@@ -251,8 +217,8 @@ def _transfers(f: Formula, up: bool) -> bool:
       ambient computation -- and transfers nothing; nested temporal
       operators move the cut and are handled by the outer classifier.
     """
-    if isinstance(f, (_HISTORY_INDEPENDENT + _MONOTONE_ATOMS
-                      + _STABLE_ATOMS)):
+    if isinstance(f, (HISTORY_INDEPENDENT + MONOTONE_ATOMS
+                      + STABLE_ATOMS)):
         return True
     if isinstance(f, Not):
         return _transfers(f.body, not up)
@@ -276,11 +242,6 @@ def _transfers(f: Formula, up: bool) -> bool:
         return (_transfers(f.body, True) and _transfers(f.body, False)
                 and _occ_guarded(f.body, f.var))
     return False
-
-
-def _contains_pypred(f: Formula) -> bool:
-    return isinstance(f, PyPred) or any(
-        _contains_pypred(c) for c in f._children())
 
 
 def _domain_classes(dom) -> Optional[frozenset]:
@@ -319,9 +280,9 @@ def _alphabet(f: Formula) -> Optional[frozenset]:
     ``potential``, ``at``) read the whole cut, so they widen the
     alphabet to everything, as do ``PyPred`` and all-events domains.
     """
-    if isinstance(f, (_HISTORY_INDEPENDENT + _MONOTONE_ATOMS)):
+    if isinstance(f, (HISTORY_INDEPENDENT + MONOTONE_ATOMS)):
         return frozenset()
-    if isinstance(f, _STABLE_ATOMS):
+    if isinstance(f, STABLE_ATOMS):
         return None
     if isinstance(f, (Henceforth, Eventually, Not)):
         return _alphabet(f.body)
@@ -342,45 +303,18 @@ def _alphabet(f: Formula) -> Optional[frozenset]:
     return None
 
 
-def _monotone(f: Formula, pol: int) -> bool:
-    """Monotone in the history at *fixed* quantifier domains: once true
-    at a cut, true at every larger cut of the same computation.
-
-    The ``DIA_LEAF`` ◇-body certificate (``◇q ⟺ q@top`` both ways).
-    """
-    if isinstance(f, _HISTORY_INDEPENDENT):
-        return True
-    if isinstance(f, _MONOTONE_ATOMS):
-        return pol > 0
-    if isinstance(f, Not):
-        return _monotone(f.body, -pol)
-    if isinstance(f, (And, Or)):
-        return all(_monotone(p, pol) for p in f.parts)
-    if isinstance(f, Implies):
-        return (_monotone(f.antecedent, -pol)
-                and _monotone(f.consequent, pol))
-    if isinstance(f, Iff):
-        return (_history_independent(f.left)
-                and _history_independent(f.right))
-    if isinstance(f, (ForAll, Exists)):
-        # domains are rigid within one computation: ∀/∃ of monotone
-        # bodies are monotone
-        return _monotone(f.body, pol)
-    if isinstance(f, (ExistsUnique, AtMostOne)):
-        # tallies are not monotone unless every term is history-constant
-        return _history_independent(f.body)
-    return False
-
-
 def _dia_leaf(f: Formula) -> bool:
-    """``F ⟺ strip(F)@full-history`` certificate for the whole tree."""
+    """``F ⟺ strip(F)@full-history`` certificate for the whole tree.
+
+    A ◇-leaf needs a body monotone in the history at *fixed* quantifier
+    domains (``◇q ⟺ q@top`` both ways, :attr:`Shape.monotone`)."""
     if isinstance(f, Eventually):
-        return _monotone(f.body, 1)
+        return shape(f.body).monotone
     if isinstance(f, Henceforth) or isinstance(f, PyPred):
         return False
-    if isinstance(f, _HISTORY_INDEPENDENT):
+    if isinstance(f, HISTORY_INDEPENDENT):
         return True
-    if isinstance(f, (_MONOTONE_ATOMS + _STABLE_ATOMS)):
+    if isinstance(f, (MONOTONE_ATOMS + STABLE_ATOMS)):
         # outer atoms are evaluated at the *empty* history by the
         # lattice semantics; only history-independent ones transfer
         return False
@@ -456,21 +390,23 @@ class RestrictionAutomaton:
             return (WATCH,)
         return (WATCH, ACCEPT) if self.kind != BOX_REJECT else (WATCH, REJECT)
 
-    def probe(self, prefix, history_cap: int) -> Optional[bool]:
+    def probe(self, prefix, history_cap: int,
+              plan: SpecPlan) -> Optional[bool]:
         """One guard evaluation on a projected, thread-labelled prefix.
 
         Returns the restriction's (completion-wide) verdict when the DFA
         leaves ``WATCH``, else ``None``.  Pure function of the prefix
         computation -- replay, sharding and witnesses stay byte-identical.
         A ``BOX_REJECT`` guard is the ``auto`` check of the restriction
-        on the prefix, handed this automaton so it is not re-classified.
+        on the prefix, routed by ``plan`` (the plan this automaton came
+        from), so it is not re-classified.
         """
         if self.kind == BOX_REJECT:
             from .checker import check_restriction
 
             outcome = check_restriction(
                 prefix, self.restriction, history_cap=history_cap,
-                _automaton=self)
+                context=CheckContext(plan, prefix, history_cap))
             return False if not outcome.holds else None
         if self.kind == DIA_ACCEPT:
             assert self.stripped is not None
@@ -499,9 +435,10 @@ def classify_restriction(
     them at the full history directly); they classify inert if they do.
     """
     formula = restriction.formula
-    if not formula.is_temporal():
+    facts = shape(formula)
+    if not facts.temporal:
         return RestrictionAutomaton(restriction, INERT, "not temporal")
-    if _count_quantifiers(formula) > quantifier_cap:
+    if facts.quantifiers > quantifier_cap:
         return RestrictionAutomaton(
             restriction, INERT,
             f"more than {quantifier_cap} quantifiers (grounding cap)")
@@ -519,15 +456,15 @@ def classify_restriction(
     # transfers to that cut in every extension and (b) is monotone, so
     # it stays true at the extension's own top -- where every maximal
     # chain ends
-    if isinstance(formula, Eventually) and _monotone(
-            formula.body, 1) and _transfers(formula.body, True):
+    if isinstance(formula, Eventually) and shape(
+            formula.body).monotone and _transfers(formula.body, True):
         return RestrictionAutomaton(restriction, DIA_ACCEPT,
                                     stripped=formula.body,
                                     alphabet=_alphabet(formula))
     if _dia_leaf(formula):
         return RestrictionAutomaton(restriction, DIA_LEAF,
                                     stripped=_strip(formula))
-    if _contains_pypred(formula):
+    if facts.pypred:
         return RestrictionAutomaton(restriction, INERT, "opaque PyPred body")
     if isinstance(body, Henceforth):
         return RestrictionAutomaton(
@@ -535,94 +472,8 @@ def classify_restriction(
     return RestrictionAutomaton(restriction, INERT, "shape not regular")
 
 
-def spec_fingerprint(spec) -> str:
-    """Stable digest of a specification's declarative content.
-
-    Keys the module-level :class:`AutomataPlan` (and compile-plan) memo:
-    two spec *instances* with equal fingerprints have identical element
-    vocabularies and restriction formulas, so their formula-level
-    analyses coincide.  ``PyPred`` contributes only its name -- safe
-    here because predicates with captured closures are never compiled:
-    both plans treat them as opaque fallbacks, so a memoised plan never
-    evaluates a stale closure.
-    """
-    parts = [f"spec:{spec.name}"]
-    parts.extend(sorted(f"element:{n}" for n in spec.element_names()))
-    parts.extend(sorted(
-        f"group:{g.name}:{','.join(sorted(map(str, g.members)))}"
-        for g in spec.groups))
-    parts.extend(sorted(
-        f"restriction:{r.name}={r.formula.describe()}"
-        for r in spec.all_restrictions()))
-    parts.extend(sorted(f"thread:{t.name}" for t in spec.thread_types))
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-
-
-class AutomataPlan:
-    """Computation-independent DFA compilation of one specification.
-
-    The per-restriction automata plus the classification census the
-    stats/describe surfaces report.  Built once per spec (see
-    :func:`automata_plan_for`); binding to a computation is free -- the
-    automata carry no per-computation state (guards are evaluated
-    against whatever prefix the monitor hands them).
-    """
-
-    __slots__ = ("automata", "temporal", "monitorable", "leaf", "inert")
-
-    def __init__(self, spec,
-                 quantifier_cap: int = DEFAULT_QUANTIFIER_CAP) -> None:
-        self.automata: Dict[str, RestrictionAutomaton] = {}
-        for r in spec.all_restrictions():
-            if r.formula.is_temporal():
-                self.automata[r.name] = classify_restriction(
-                    r, quantifier_cap)
-        self.temporal = len(self.automata)
-        self.monitorable = sum(
-            1 for a in self.automata.values() if a.monitorable)
-        self.leaf = sum(
-            1 for a in self.automata.values() if a.kind == DIA_LEAF)
-        self.inert = sum(
-            1 for a in self.automata.values() if a.kind == INERT)
-
-    def automaton(self, name: str) -> Optional[RestrictionAutomaton]:
-        return self.automata.get(name)
-
-    def describe(self) -> str:
-        lines = [f"automata: {self.temporal} temporal restriction(s), "
-                 f"{self.monitorable} monitorable, {self.leaf} leaf-"
-                 f"resolvable, {self.inert} dfa-inert"]
-        for a in self.automata.values():
-            lines.append(f"  {a.describe()}")
-        return "\n".join(lines)
-
-
-#: spec fingerprint -> AutomataPlan (cross-instance memo; resident serve
-#: workers hit this when an inline spec is resubmitted and rebuilt)
-_PLAN_CACHE: Dict[str, AutomataPlan] = {}
-
-
-def automata_plan_for(spec) -> AutomataPlan:
-    """The spec's :class:`AutomataPlan`, cached on the instance *and* in
-    a module-level table keyed by :func:`spec_fingerprint`.
-
-    The double memo mirrors :func:`repro.core.compile.plan_for` plus the
-    cross-instance layer serve needs: a resubmitted inline workload
-    rebuilds fresh spec objects in every resident worker, and the
-    fingerprint hit spares re-classifying every restriction.
-    """
-    plan: Optional[AutomataPlan] = getattr(spec, "_automata_plan", None)
-    if plan is not None:
-        return plan
-    fp = spec_fingerprint(spec)
-    plan = _PLAN_CACHE.get(fp)
-    if plan is None:
-        plan = AutomataPlan(spec)
-        if len(_PLAN_CACHE) >= _PLAN_CACHE_CAP:
-            _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-        _PLAN_CACHE[fp] = plan
-    spec._automata_plan = plan
-    return plan
+#: The automata are part of the specification's one plan.
+automata_plan_for = plan_for
 
 
 class _MonitorNode:
@@ -656,10 +507,11 @@ class AutomatonMonitor:
     probes see exactly what :meth:`WorkerState.compute_outcome` checks.
     """
 
-    def __init__(self, plan: AutomataPlan, problem_spec, correspondence=None,
+    def __init__(self, plan: SpecPlan, problem_spec, correspondence=None,
                  history_cap: int = 2_000_000,
                  probe_budget: int = DEFAULT_PROBE_BUDGET,
                  projection_budget: int = DEFAULT_PROJECTION_BUDGET) -> None:
+        self._plan = plan
         self._spec = problem_spec
         self._corr = correspondence
         self._cap = history_cap
@@ -687,10 +539,6 @@ class AutomatonMonitor:
         self.accepts = 0
         #: probes abandoned on an unexpected projection/labelling error
         self.probe_errors = 0
-
-    @property
-    def watching(self) -> int:
-        return len(self._watch)
 
     def root(self) -> _MonitorNode:
         return _MonitorNode(tuple(range(len(self._watch))), ())
@@ -783,13 +631,10 @@ class AutomatonMonitor:
             return self._memo[key]
         self.probes += 1
         try:
-            verdict = automaton.probe(prefix, self._cap)
+            verdict = automaton.probe(prefix, self._cap, self._plan)
         except Exception:
             self.probe_errors += 1
             verdict = None
         if len(self._memo) < _GUARD_MEMO_CAP:
             self._memo[key] = verdict
         return verdict
-
-    def decided(self, node: _MonitorNode) -> Tuple[Tuple[str, bool], ...]:
-        return node.decided

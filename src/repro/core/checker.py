@@ -28,6 +28,13 @@ takes one of four values, all deciding the same ``legal(C, σ)``.
     Immediate restrictions take steps 4 and 5 only.  The outcome's
     ``provenance`` records which of steps 1-3 decided it.
 
+    Which steps a restriction is offered is a static fact of its
+    formula: :mod:`repro.core.plan` works out each restriction's route
+    once per specification (a leaf-resolvable automaton always decides
+    at step 2; a restriction the compiler cannot express skips step 4),
+    and one :class:`~repro.core.plan.CheckContext` per computation
+    builds each backend the first time a route reaches it.
+
 ``compiled``
     Steps 4 and 5 alone: each restriction is compiled into closures
     over bitmask histories, with quantifier-domain pruning, constant
@@ -99,6 +106,7 @@ from .history import (
     maximal_history_sequences,
 )
 from .legality import check_legality
+from .plan import CheckContext, SpecPlan, plan_for
 from .specification import Specification
 
 #: Default cap on exact-mode vhs enumeration.
@@ -145,11 +153,9 @@ class CheckResult:
     slice_hits: int = 0
     slice_fallbacks: int = 0
     #: temporal restrictions decided by the automaton route -- early
-    #: (monitor verdicts) or at the full history (leaf-resolvable) --
-    #: and restrictions whose shape the DFA compiler rejected (both 0
-    #: outside ``temporal_mode="auto"``)
+    #: (monitor verdicts) or at the full history (leaf-resolvable); 0
+    #: outside ``temporal_mode="auto"``
     dfa_hits: int = 0
-    dfa_inert: int = 0
 
     @property
     def ok(self) -> bool:
@@ -278,29 +284,27 @@ def check_restriction(
     history_cap: int = DEFAULT_HISTORY_CAP,
     with_witness: bool = False,
     decided: Optional[Dict[str, bool]] = None,
-    _lattice: Optional[LatticeChecker] = None,
-    _compiled: Optional[object] = None,
-    _slice: Optional[object] = None,
-    _automaton: Optional[object] = None,
+    context: Optional[CheckContext] = None,
     metrics: Optional[object] = None,
     tracer: Optional[object] = None,
 ) -> RestrictionOutcome:
     """Check a single restriction on a (thread-labelled) computation.
 
     ``temporal_mode`` is one of :data:`TEMPORAL_MODES` (see the module
-    docstring).  Under ``"auto"`` a temporal restriction is offered, in
-    order, to ``decided`` (the exploration-time automaton monitor's
-    early verdicts, semantically equal to what this check would derive;
-    ``provenance="dfa-early"``), to its restriction automaton when that
-    is leaf-resolvable (``provenance="dfa"``), and to
-    :class:`repro.core.slice.SliceChecker` (``provenance="slice"``, or
-    ``"walk"`` when the slice declines); whatever is left takes the
-    compiled walk with the interpreter as fallback.  ``decided`` is
-    ignored by the single-route modes.  Every route yields the same
-    verdict and detail string -- failing verdicts re-derive witnesses
-    and explanations through the interpreter via ``fail()`` -- and the
-    route differential in the tests and the ``slice-differential`` /
-    ``dfa-differential`` fuzz oracles gate that.
+    docstring).  Under ``"auto"`` the restriction follows its plan's
+    route (:class:`repro.core.plan.RestrictionPlan`): a temporal
+    restriction is offered, in order, to ``decided`` (the
+    exploration-time automaton monitor's early verdicts, semantically
+    equal to what this check would derive; ``provenance="dfa-early"``),
+    to its restriction automaton when that is leaf-resolvable
+    (``provenance="dfa"``), and to :class:`repro.core.slice.SliceChecker`
+    (``provenance="slice"``, or ``"walk"`` when the slice declines);
+    whatever is left takes the compiled walk with the interpreter as
+    fallback.  ``decided`` is ignored by the single-route modes.  Every
+    route yields the same verdict and detail string -- failing verdicts
+    re-derive witnesses and explanations through the interpreter via
+    ``fail()`` -- and the route differential in the tests and the
+    ``slice-differential`` / ``dfa-differential`` fuzz oracles gate that.
 
     With ``with_witness``, a failing outcome's detail carries a located
     counterexample (the failing history and quantifier bindings) from
@@ -317,18 +321,22 @@ def check_restriction(
     which binding / history prefix / temporal unrolling flipped the
     verdict; explanations always come from the reference interpreter.
 
-    :func:`check_computation` shares per-computation state across a
-    spec's restrictions: ``_lattice`` (the :class:`LatticeChecker`),
-    ``_compiled`` (the bound :class:`repro.core.compile.CompiledSpec`),
-    ``_slice`` (the :class:`SliceChecker`) and ``_automaton`` (this
-    restriction's :class:`repro.core.automata.RestrictionAutomaton`
-    from the spec's cached plan).  Without them each is built or
-    classified on the spot.
+    ``context`` (a :class:`repro.core.plan.CheckContext`) carries the
+    plan and the computation's backends that :func:`check_computation`
+    shares across a spec's restrictions.  Without it the restriction is
+    planned on the spot.
     """
     if temporal_mode not in TEMPORAL_MODES:
         raise SpecificationError(
             f"unknown temporal_mode {temporal_mode!r}; expected one of "
             f"{', '.join(TEMPORAL_MODES)}")
+    if context is None:
+        context = CheckContext(SpecPlan((restriction,)), computation,
+                               history_cap)
+    planned = context.plan.restrictions[restriction.name]
+    name = restriction.name
+    formula = restriction.formula
+    temporal = planned.temporal
     tracing = tracer is not None and getattr(tracer, "enabled", False)
 
     def fail(detail: str) -> RestrictionOutcome:
@@ -346,139 +354,109 @@ def check_restriction(
                                    history_cap=history_cap)
             if witness is not None:
                 detail = f"{detail}; witness: {witness.describe()}"
-        return RestrictionOutcome(restriction.name, False, detail)
+        return RestrictionOutcome(name, False, detail)
+
+    def verdict(holds: bool) -> RestrictionOutcome:
+        # detail strings match the interpreter byte for byte, and fail()
+        # re-derives witnesses/explanations through the interpreter, so
+        # failure output is route-invariant
+        if holds:
+            return RestrictionOutcome(name, True)
+        return fail("fails over the history lattice" if temporal
+                    else "fails at complete computation")
+
+    def count(metric: str, value: int = 1) -> None:
+        if metrics is not None:
+            metrics.inc(metric, value, restriction=name)
 
     #: the auto route that decided (or declined) a temporal verdict
-    route = [""]
+    provenance = [""]
+    #: lattice visits (or vhs count), at least 1 for the top-level pass
+    evals = [0]
 
-    def decide_early() -> Optional[RestrictionOutcome]:
-        """Steps 1-3 of the auto chain; ``None`` hands over to the walk.
-
-        Routed failures share the walk's detail string byte for byte;
-        ``fail()`` re-derives witnesses/explanations through the
-        interpreter, so diagnostics are route-invariant."""
-        name = restriction.name
-        if decided is not None and name in decided:
-            route[0] = "dfa-early"
-            if metrics is not None:
-                metrics.inc("checker.dfa_early", 1, restriction=name)
-            if decided[name]:
-                return RestrictionOutcome(name, True)
-            return fail("fails over the history lattice")
-        automaton = _automaton
-        if automaton is None:
-            from .automata import classify_restriction
-
-            automaton = classify_restriction(restriction)
-        if automaton.leaf_resolvable:
-            route[0] = "dfa"
-            if metrics is not None:
-                metrics.inc("checker.dfa_hits", 1, restriction=name)
-            if automaton.resolve_at_top(computation):
-                return RestrictionOutcome(name, True)
-            return fail("fails over the history lattice")
-        slicer = _slice
-        if slicer is None:
-            from .slice import SliceChecker
-
-            slicer = SliceChecker(computation)
-        analysis = slicer.analyze(restriction)
-        if analysis.verdict is not None:
-            route[0] = "slice"
-            if metrics is not None:
-                metrics.inc("checker.slice_hits", 1, restriction=name)
-            if analysis.verdict:
-                return RestrictionOutcome(name, True)
-            return fail("fails over the history lattice")
-        route[0] = "walk"
-        if metrics is not None:
-            metrics.inc("checker.slice_fallbacks", 1, restriction=name)
-        return None
-
-    def decide() -> RestrictionOutcome:
-        formula = restriction.formula
-        temporal = formula.is_temporal()
-        mode = temporal_mode
-        if mode == "auto":
-            if temporal:
-                outcome = decide_early()
-                if outcome is not None:
-                    return outcome
-            mode = "compiled"
-        if mode == "compiled":
-            from .compile import bind_restriction
-
-            cspec = _compiled if _compiled is not None else bind_restriction(
-                computation, restriction, history_cap)
+    def step(route: str) -> Optional[RestrictionOutcome]:
+        """One backend of the route; ``None`` hands over to the next."""
+        if route == "dfa-early":
+            if decided is None or name not in decided:
+                return None
+            provenance[0] = "dfa-early"
+            count("checker.dfa_early")
+            return verdict(decided[name])
+        if route == "dfa":
+            provenance[0] = "dfa"
+            count("checker.dfa_hits")
+            return verdict(planned.automaton.resolve_at_top(computation))
+        if route == "slice":
+            sliced = context.slice.analyze(restriction).verdict
+            if sliced is None:
+                provenance[0] = "walk"
+                count("checker.slice_fallbacks")
+                return None
+            provenance[0] = "slice"
+            count("checker.slice_hits")
+            return verdict(sliced)
+        if route == "compiled":
+            cspec = context.compiled
             compiled = cspec.restriction(restriction)
-            if compiled is not None:
-                visited_before = cspec.walk.visited
-                holds = compiled.holds()
-                if metrics is not None:
-                    evals[0] = cspec.walk.visited - visited_before
-                    metrics.inc("checker.compiled_evals", max(evals[0], 1),
-                                restriction=restriction.name)
-                if holds:
-                    return RestrictionOutcome(restriction.name, True)
-                # detail strings match the interpreter byte for byte,
-                # and fail() re-derives witnesses/explanations through
-                # the interpreter, so failure output is mode-invariant
-                return fail("fails over the history lattice" if temporal
-                            else "fails at complete computation")
+            if compiled is None:
+                return None  # an unbound variable: the interpreter decides
+            visited_before = cspec.walk.visited
+            holds = compiled.holds()
+            evals[0] = cspec.walk.visited - visited_before
+            count("checker.compiled_evals", max(evals[0], 1))
+            return verdict(holds)
+        if route == "lattice" and temporal_mode != "lattice":
             # PyPred or an unknown node: whole-restriction fallback to
             # the reference interpreter
-            if metrics is not None:
-                metrics.inc("checker.fallbacks", 1,
-                            restriction=restriction.name)
-            mode = "lattice"
+            count("checker.fallbacks")
         if not temporal:
-            holds = formula.holds_at(full_history(computation))
-            if holds:
-                return RestrictionOutcome(restriction.name, True)
-            return fail("fails at complete computation")
-        if mode == "lattice":
-            checker = _lattice or LatticeChecker(computation, history_cap)
+            return verdict(formula.holds_at(full_history(computation)))
+        if route == "lattice":
+            checker = context.lattice
             visited_before = checker.visited
             holds = checker.holds(formula)
-            if metrics is not None:
-                evals[0] = checker.visited - visited_before
-            if holds:
-                return RestrictionOutcome(restriction.name, True)
-            return fail("fails over the history lattice")
-        # mode == "exact"
-        count = 0
+            evals[0] = checker.visited - visited_before
+            return verdict(holds)
+        # route == "exact"
         for seq in maximal_history_sequences(computation, cap=vhs_cap,
                                              max_step=max_step):
-            count += 1
+            evals[0] += 1
             if not formula.holds_on(seq):
                 return RestrictionOutcome(
-                    restriction.name, False,
-                    f"fails on vhs #{count} (steps: "
+                    name, False,
+                    f"fails on vhs #{evals[0]} (steps: "
                     f"{[sorted(map(str, h.events)) for h in seq]})")
-        if metrics is not None:
-            evals[0] = count
-        return RestrictionOutcome(restriction.name, True,
-                                  f"holds on all {count} maximal vhs")
+        return RestrictionOutcome(name, True,
+                                  f"holds on all {evals[0]} maximal vhs")
+
+    routes = {"auto": planned.route, "compiled": planned.walk}.get(
+        temporal_mode, (temporal_mode,))
+
+    def decide() -> RestrictionOutcome:
+        for route in routes:
+            outcome = step(route)
+            if outcome is not None:
+                return outcome
+        raise AssertionError(f"route {routes} decided nothing")
 
     def stamp(outcome: RestrictionOutcome) -> RestrictionOutcome:
-        return replace(outcome, provenance=route[0]) if route[0] else outcome
+        if provenance[0]:
+            return replace(outcome, provenance=provenance[0])
+        return outcome
 
     if metrics is None and not tracing:
         return stamp(decide())
 
-    #: lattice visits (or vhs count), at least 1 for the top-level pass
-    evals = [0]
     started = time.perf_counter()
     if tracing:
-        with tracer.span("restriction", attrs={"name": restriction.name}):
+        with tracer.span("restriction", attrs={"name": name}):
             outcome = decide()
     else:
         outcome = decide()
     if metrics is not None:
-        metrics.inc("checker.evals", max(evals[0], 1),
-                    restriction=restriction.name)
+        metrics.inc("checker.evals", max(evals[0], 1), restriction=name)
         metrics.observe("checker.seconds", time.perf_counter() - started,
-                        restriction=restriction.name)
+                        restriction=name)
     return stamp(outcome)
 
 
@@ -500,35 +478,21 @@ def check_computation(
     ``label_threads`` is false (pass false when the computation already
     carries labels you want preserved exactly).
 
-    Under ``auto`` and ``compiled`` the specification's restrictions
-    are compiled once (the per-spec analysis plan is cached on the spec
-    instance, so engine workers inherit it across computations) and
-    share one bitmask kernel per computation; restrictions the compiler
-    rejects fall back to the shared :class:`LatticeChecker`.  Under
-    ``auto`` one :class:`SliceChecker` per computation and the spec's
-    cached automata plan are shared the same way.
+    Every restriction follows the route of the specification's
+    :class:`~repro.core.plan.SpecPlan` (built once per specification
+    content, so engine workers inherit it across computations) through
+    one :class:`~repro.core.plan.CheckContext` per computation: the
+    slice, the compiled closures and the interpreter are built the first
+    time a route reaches them and shared after that.
 
     ``metrics``/``tracer`` thread through to :func:`check_restriction`;
-    the lattice size actually explored for this computation lands in
-    the ``checker.lattice_histories`` histogram.
+    the histories every lattice walk expanded for this computation land
+    in the ``checker.lattice_histories`` histogram.
     """
-    auto = temporal_mode == "auto"
     result = CheckResult(spec.name)
     result.legality_violations = check_legality(computation, spec)
     labelled = spec.label_threads(computation) if label_threads else computation
-    lattice = LatticeChecker(labelled, history_cap)
-    compiled = None
-    if auto or temporal_mode == "compiled":
-        from .compile import plan_for
-
-        compiled = plan_for(spec).bind(labelled, history_cap)
-    slicer = automata = None
-    if auto:
-        from .automata import automata_plan_for
-        from .slice import SliceChecker
-
-        slicer = SliceChecker(labelled)
-        automata = automata_plan_for(spec)
+    context = plan_for(spec).bind(labelled, history_cap)
     for restriction in spec.all_restrictions():
         result.outcomes.append(
             check_restriction(
@@ -539,11 +503,7 @@ def check_computation(
                 max_step=max_step,
                 history_cap=history_cap,
                 decided=decided,
-                _lattice=lattice,
-                _compiled=compiled,
-                _slice=slicer,
-                _automaton=(automata.automaton(restriction.name)
-                            if automata is not None else None),
+                context=context,
                 metrics=metrics,
                 tracer=tracer,
             )
@@ -554,14 +514,11 @@ def check_computation(
         1 for o in result.outcomes if o.provenance == "walk")
     result.dfa_hits = sum(
         1 for o in result.outcomes if o.provenance in ("dfa", "dfa-early"))
-    if automata is not None:
-        result.dfa_inert = automata.inert
     if metrics is not None:
         metrics.inc("checker.computations")
-        if compiled is not None or temporal_mode == "lattice":
-            walked = compiled if compiled is not None else lattice
-            metrics.observe("checker.lattice_histories",
-                            walked.walk.explored(), spec=spec.name)
+        if temporal_mode != "exact":
+            metrics.observe("checker.lattice_histories", context.explored(),
+                            spec=spec.name)
     return result
 
 

@@ -185,9 +185,6 @@ class SliceCube:
     pos: int
     neg: int
 
-    def min_mask(self, index: EventIndex) -> int:
-        return self.pos
-
     def max_mask(self, index: EventIndex) -> int:
         return index.full_mask & ~index.up_closure(self.neg)
 
@@ -283,10 +280,6 @@ class SliceChecker:
         analysis = self._analyze(restriction)
         self._analyses[restriction] = analysis
         return analysis
-
-    def holds(self, restriction: Restriction) -> Optional[bool]:
-        """Exact verdict, or ``None`` when the restriction is not sliceable."""
-        return self.analyze(restriction).verdict
 
     def _analyze(self, restriction: Restriction) -> SliceAnalysis:
         formula = restriction.formula
@@ -603,12 +596,6 @@ class SliceChecker:
         if not (monotone or antitone):
             raise SliceError("◇ body over a mixed-polarity cube region")
         return self._eval_at(node, mask)
-
-
-def classify_restriction(computation: Computation,
-                         restriction: Restriction) -> str:
-    """Slice classification of one restriction on one computation."""
-    return SliceChecker(computation).analyze(restriction).kind
 
 
 def predicate_cubes(computation: Computation, formula: Formula,

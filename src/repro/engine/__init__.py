@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.checker import DEFAULT_HISTORY_CAP
+from ..core.plan import plan_for
 from ..core.specification import Specification
 from ..obs.trace import NULL_TRACER
 from ..sim.runtime import Program
@@ -296,9 +297,6 @@ class Engine:
             stats.dfa_cuts += tr.dfa_cuts
             stats.dfa_accepts += tr.dfa_accepts
             stats.dfa_hits += tr.dfa_hits
-            # inert is a property of the compiled plan, not of work
-            # done, so tasks report the same figure: keep the max
-            stats.dfa_inert = max(stats.dfa_inert, tr.dfa_inert)
 
         fingerprints = set()
         index = 0
@@ -358,6 +356,10 @@ class Engine:
         stats = EngineStats()
         stats.por_enabled = cfg.por
         stats.dfa_enabled = cfg.dfa
+        # a fact of the specifications' plans, the same on a warm cache
+        stats.dfa_inert = sum(plan_for(spec).inert
+                              for spec in (problem_spec, program_spec)
+                              if spec is not None)
         with tracer.span("verify", attrs={"problem": problem_spec.name},
                          meta={"jobs": cfg.jobs}) as root:
             cache = self._open_cache(problem_spec, correspondence,
@@ -459,8 +461,6 @@ class Engine:
             o.slice_fallbacks for o in result.fresh_outcomes.values())
         result.dfa_hits = sum(
             o.dfa_hits for o in result.fresh_outcomes.values())
-        result.dfa_inert = max(
-            (o.dfa_inert for o in result.fresh_outcomes.values()), default=0)
         return [result]
 
 

@@ -78,10 +78,12 @@ class CheckOutcome:
     ``slice_fallbacks`` record how many temporal restrictions the
     computation-slicing path decided exactly vs handed back to the walk
     -- provenance, also a pure function of the same inputs.
-    ``dfa_hits`` / ``dfa_inert`` are the automaton route's analogues
-    (restrictions resolved by a DFA -- early or at the full history --
-    vs shapes the compiler classified inert); tolerated as absent in
-    older cache files since they are provenance, not semantics.
+    ``dfa_hits`` is the automaton route's analogue (restrictions
+    resolved by a DFA -- early or at the full history); tolerated as
+    absent in older cache files since it is provenance, not semantics.
+    How many restrictions are DFA-inert is a fact of the specification's
+    plan, not of a computation, so it is not cached (older files that
+    carry a ``dfa_inert`` key still load).
     """
 
     failed_restrictions: Tuple[str, ...] = ()
@@ -90,7 +92,6 @@ class CheckOutcome:
     slice_hits: int = 0
     slice_fallbacks: int = 0
     dfa_hits: int = 0
-    dfa_inert: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -100,7 +101,6 @@ class CheckOutcome:
             "slice_hits": self.slice_hits,
             "slice_fb": self.slice_fallbacks,
             "dfa_hits": self.dfa_hits,
-            "dfa_inert": self.dfa_inert,
         }
 
     @staticmethod
@@ -112,7 +112,6 @@ class CheckOutcome:
             slice_hits=int(data.get("slice_hits", 0)),
             slice_fallbacks=int(data.get("slice_fb", 0)),
             dfa_hits=int(data.get("dfa_hits", 0)),
-            dfa_inert=int(data.get("dfa_inert", 0)),
         )
 
 

@@ -49,6 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.checker import DEFAULT_HISTORY_CAP
 from ..core.errors import RunCapExceeded, VerificationError
+from ..core.plan import plan_for
 from ..core.specification import Specification
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
@@ -114,15 +115,13 @@ class TaskResult:
     slice_hits: int = 0
     slice_fallbacks: int = 0
     #: automaton-monitor counters for this task's exploration (guard
-    #: probes, rejecting/accepting sinks reached) plus DFA-routing
-    #: tallies over fresh outcomes (hits summed; inert is a per-plan
-    #: property, so the max, not the sum); the monitor counters are
-    #: zero with --no-dfa
+    #: probes, rejecting/accepting sinks reached) plus the DFA hits
+    #: summed over fresh outcomes; the monitor counters are zero with
+    #: --no-dfa
     dfa_probes: int = 0
     dfa_cuts: int = 0
     dfa_accepts: int = 0
     dfa_hits: int = 0
-    dfa_inert: int = 0
     #: serialised trace segment (``Tracer.to_records``), empty unless
     #: the worker state asked for tracing; grafted by the parent in
     #: shard order so the merged trace is deterministic
@@ -237,17 +236,13 @@ class WorkerState:
         self.seed_gen = 0
         # per-process memo: forked children each mutate their own copy
         self.index = DedupeIndex(seed=self.cache_snapshot)
-        # prime the per-spec compilation and automata plans (AST
-        # analysis) before any task runs: on the one-shot path this
-        # happens in the parent pre-fork so every worker inherits them;
-        # on the resident path it happens once per worker per state key
-        from ..core.automata import automata_plan_for
-        from ..core.compile import plan_for
-
+        # prime the per-spec restriction plans (AST analysis) before
+        # any task runs: on the one-shot path this happens in the parent
+        # pre-fork so every worker inherits them; on the resident path
+        # it happens once per worker per state key
         for spec in (problem_spec, program_spec):
             if spec is not None:
                 plan_for(spec)
-                automata_plan_for(spec)
 
     def make_monitor(self):
         """A fresh per-task :class:`AutomatonMonitor`, or ``None``.
@@ -257,9 +252,9 @@ class WorkerState:
         budget)."""
         if not self.dfa:
             return None
-        from ..core.automata import AutomatonMonitor, automata_plan_for
+        from ..core.automata import AutomatonMonitor
 
-        plan = automata_plan_for(self.problem_spec)
+        plan = plan_for(self.problem_spec)
         if not plan.monitorable:
             return None
         return AutomatonMonitor(
@@ -273,7 +268,7 @@ class WorkerState:
         comp = run.computation
         program_spec_ok = True
         slice_hits = slice_fallbacks = 0
-        dfa_hits = dfa_inert = 0
+        dfa_hits = 0
         if self.program_spec is not None:
             pres = self.program_spec.check(
                 comp, history_cap=self.history_cap, metrics=metrics)
@@ -281,7 +276,6 @@ class WorkerState:
             slice_hits += pres.slice_hits
             slice_fallbacks += pres.slice_fallbacks
             dfa_hits += pres.dfa_hits
-            dfa_inert += pres.dfa_inert
         projected = project(comp, self.correspondence)
         # monitor verdicts were decided on projected prefixes of this
         # run, so they apply to the problem-spec check only
@@ -296,7 +290,6 @@ class WorkerState:
             slice_hits=slice_hits + result.slice_hits,
             slice_fallbacks=slice_fallbacks + result.slice_fallbacks,
             dfa_hits=dfa_hits + result.dfa_hits,
-            dfa_inert=dfa_inert + result.dfa_inert,
         )
 
 
@@ -382,8 +375,6 @@ def _execute_with(state: WorkerState, task: Task) -> TaskResult:
         o.slice_fallbacks for o in result.fresh_outcomes.values())
     result.dfa_hits = sum(
         o.dfa_hits for o in result.fresh_outcomes.values())
-    result.dfa_inert = max(
-        (o.dfa_inert for o in result.fresh_outcomes.values()), default=0)
     if selector is not None:
         result.por_nodes = selector.nodes
         result.por_reduced_nodes = selector.reduced_nodes

@@ -9,7 +9,7 @@ computations:
 * **resident worker pool** -- the daemon forks its
   :class:`repro.engine.WorkerPool` once at startup; workers rebuild
   each workload from a picklable :class:`repro.engine.CaseRef` on
-  first use and keep the built state (compiled ``SpecPlan``\\ s,
+  first use and keep the built state (restriction ``SpecPlan``\\ s,
   per-process dedupe memos) hot across requests;
 * **shared result cache** -- one
   :class:`repro.engine.SharedResultCache` (LRU byte budget, hit/miss

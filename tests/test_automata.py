@@ -40,10 +40,10 @@ from repro.core.automata import (
     _vacuous,
     automata_plan_for,
     classify_restriction,
-    spec_fingerprint,
 )
 from repro.core.checker import check_computation
 from repro.core.compile import plan_for
+from repro.core.plan import spec_fingerprint
 from repro.core.formula import (
     And,
     Eventually,
@@ -204,29 +204,33 @@ def labelled(spec, computation):
 class TestProbeAndMonitor:
     def test_box_reject_probe_fires_exactly_on_violation(self):
         spec = ring_spec()
-        automaton = automata_plan_for(spec).automaton("ring-mark-budget")
+        plan = automata_plan_for(spec)
+        automaton = plan.automaton("ring-mark-budget")
         over, = explore(RingProgram(workers=1, rounds=3))
         under, = explore(RingProgram(workers=1, rounds=2))
         assert automaton.probe(labelled(spec, over.computation),
-                               2_000_000) is False
+                               2_000_000, plan) is False
         assert automaton.probe(labelled(spec, under.computation),
-                               2_000_000) is None
+                               2_000_000, plan) is None
 
     def test_probe_does_not_reclassify(self, monkeypatch):
-        """The guard hands its own automaton to the check, so the
+        """The guard routes its check by the plan it came from, so the
         restriction is classified once per plan, never per probe."""
         import repro.core.automata as automata
+        import repro.core.plan as plan_module
 
         spec = ring_spec()
-        automaton = automata_plan_for(spec).automaton("ring-mark-budget")
+        plan = automata_plan_for(spec)
+        automaton = plan.automaton("ring-mark-budget")
         over, = explore(RingProgram(workers=1, rounds=3))
 
         def refuse(*_args, **_kwargs):
             raise AssertionError("probe re-classified its restriction")
 
         monkeypatch.setattr(automata, "classify_restriction", refuse)
+        monkeypatch.setattr(plan_module.RestrictionPlan, "__init__", refuse)
         assert automaton.probe(labelled(spec, over.computation),
-                               2_000_000) is False
+                               2_000_000, plan) is False
 
     def test_monitor_is_a_pure_observer(self):
         """Law zero: the census with the monitor is byte-identical."""
@@ -296,6 +300,8 @@ class TestPlanMemo:
     def test_compile_plan_shared_across_instances(self):
         first, second = tally_spec(2), tally_spec(2)
         assert plan_for(first) is plan_for(second)
+        # one plan serves the checker and the automata alike
+        assert plan_for(first) is automata_plan_for(second)
 
 
 # -- determinism: signatures with the route on and off -----------------------

@@ -27,9 +27,9 @@ from repro.core import (
     check_restriction,
     empty_history,
     event_index,
-    is_compilable,
 )
 from repro.core.checker import RestrictionOutcome
+from repro.core.plan import shape
 from repro.core.errors import ComputationError
 from repro.fuzz import (
     FORK_DROPS_ENABLES,
@@ -181,8 +181,8 @@ class TestDiagnosticParity:
 
 class TestFallbackAndMetrics:
     def test_pypred_is_not_compilable(self):
-        assert not is_compilable(PyPred("always", lambda h, env: True))
-        assert is_compilable(no_work_restriction().formula)
+        assert shape(PyPred("always", lambda h, env: True)).uncompiled
+        assert not shape(no_work_restriction().formula).uncompiled
 
     def test_formula_subclass_falls_back(self):
         """User subclasses may override semantics; the compiler must
@@ -191,7 +191,7 @@ class TestFallbackAndMetrics:
         class InvertedOccurred(Occurred):
             pass
 
-        assert not is_compilable(InvertedOccurred("x"))
+        assert shape(InvertedOccurred("x")).uncompiled
 
     def test_pypred_falls_back_and_counts(self):
         from repro.obs import MetricsRegistry

@@ -6,6 +6,7 @@ here over every workload in ``benchmarks/bench_engine.py``, per the
 acceptance criteria, not just sampled in the bench.
 """
 
+import json
 import os
 import sys
 
@@ -182,6 +183,18 @@ class TestResultCache:
         assert len(again) == 1
         assert again.get("fp1").failed_restrictions == ("r1",)
         assert not again.get("fp1").legality_ok
+
+    def test_records_with_a_dfa_inert_key_still_load(self, tmp_path):
+        """Outcomes once carried a ``dfa_inert`` count; files written
+        then load with the key ignored."""
+        cache = ResultCache(tmp_path, "k1")
+        cache.put("fp1", CheckOutcome(dfa_hits=1))
+        cache.save()
+        data = json.loads(cache.path.read_text())
+        data["outcomes"]["fp1"]["dfa_inert"] = 2
+        cache.path.write_text(json.dumps(data))
+        assert ResultCache(tmp_path, "k1").get("fp1") == CheckOutcome(
+            dfa_hits=1)
 
     def test_version_mismatch_invalidates(self, tmp_path):
         cache = ResultCache(tmp_path, "k1")

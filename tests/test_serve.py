@@ -180,6 +180,22 @@ class TestDaemon:
         assert (warm["result"]["stats"]["cache_hits"]
                 + warm["result"]["stats"]["dedupe_hits"]) > 0
 
+    def test_dfa_inert_is_a_plan_fact(self, client, tmp_path):
+        """The count comes from the specifications' plans, so a cold
+        one-shot run, a warm one-shot run and a resubmitted daemon job
+        all report it."""
+        program, spec, corr, pspec = case_catalog()[
+            "monitor-bounded-buffer"].factory(False)
+        config = EngineConfig(cache_dir=str(tmp_path))
+        _report, cold = run_verification(program, spec, corr, pspec, config)
+        _report, warm = run_verification(program, spec, corr, pspec, config)
+        assert cold.checks_performed > 0 and warm.checks_performed == 0
+        counts = [cold.dfa_inert, warm.dfa_inert]
+        for _ in range(2):
+            snap = client.verify({"case": "monitor-bounded-buffer"})
+            counts.append(snap["result"]["stats"]["dfa_inert"])
+        assert counts == [2] * 4
+
     def test_mutant_fails_and_says_so(self, client):
         snap = client.verify({"case": "monitor-one-slot-buffer",
                               "mutant": True})

@@ -35,7 +35,6 @@ from repro.core.formula import Henceforth, Not, PyPred, Restriction
 from repro.core.slice import (
     SliceChecker,
     SliceError,
-    classify_restriction,
     predicate_cubes,
 )
 from repro.core.evalcore import event_index
@@ -270,7 +269,7 @@ class TestClassifier:
             with_groups=False).build()
         restriction = Restriction(
             "opaque", Henceforth(PyPred("always-true", lambda h, e: True)))
-        assert classify_restriction(comp, restriction) == "non-regular"
+        assert SliceChecker(comp).analyze(restriction).kind == "non-regular"
 
     def test_immediate_restriction_declined(self):
         comp = random_computation(
