@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
@@ -642,7 +643,9 @@ def run_bench(quick: bool = False, json_path: Optional[str] = None,
     ``only`` restricts the run to rows whose name starts with that
     prefix (``--only por``, ``--only dfa:noeager``); suites that cannot
     produce a matching row are skipped entirely, and the gated/info
-    summary counts the subset actually run.
+    summary counts the subset actually run.  With ``json_path`` the
+    rows run are merged into the file's existing ``workloads``; the
+    file's other rows keep their recorded values and gates.
     """
     results: Dict[str, dict] = {}
     if _suite_selected(only, "checker:"):
@@ -730,6 +733,13 @@ def run_bench(quick: bool = False, json_path: Optional[str] = None,
             "gate_tolerance": GATE_TOLERANCE,
             "workloads": results,
         }
+        if only is not None and os.path.exists(json_path):
+            # a filtered run replaces only the rows it ran: every other
+            # row of the file, and its header, is kept verbatim
+            with open(json_path) as fh:
+                existing = json.load(fh)
+            payload = {**existing, "workloads": {
+                **existing.get("workloads", {}), **results}}
         with open(json_path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -748,7 +758,8 @@ def main(argv=None) -> int:
                         default=None, metavar="FILE",
                         help="write results as JSON (default file: "
                              "BENCH_checker.json); if the file exists it "
-                             "is used as the regression baseline first")
+                             "is used as the regression baseline first, "
+                             "and --only replaces just the rows it ran")
     parser.add_argument("--baseline", default=None, metavar="FILE",
                         help="gate against this baseline instead of the "
                              "--json target")

@@ -741,7 +741,8 @@ def main(argv=None) -> int:
                          default=None, metavar="FILE",
                          help="write results as JSON (default file: "
                               "BENCH_checker.json); an existing file is "
-                              "the regression baseline first")
+                              "the regression baseline first, and --only "
+                              "replaces just the rows it ran")
     p_bench.add_argument("--baseline", default=None, metavar="FILE",
                          help="gate against this baseline instead of the "
                               "--json target")

@@ -62,8 +62,10 @@ counting quantifiers, quantifier blow-up past the cap) is left entirely
 to the post-hoc pipeline, with the reason recorded and counted.
 
 Overhead control mirrors the related LTLf2DFA work's cache/explosion
-handling: a *significance trigger* skips every scheduler step that
-emitted no correspondence-kept event (no freeze, no projection), guard
+handling: the scheduler probes branch points only (a single-branch
+node's verdicts are decided the same way one branch point further
+down), a *significance trigger* skips every branch point whose prefix
+gained no correspondence-kept event (no freeze, no projection), guard
 evaluation is memoised per projected-prefix fingerprint (diamond
 prefixes collapse), probing stops after :data:`DEFAULT_PROBE_BUDGET`
 guard evaluations and :data:`DEFAULT_PROJECTION_BUDGET` projections, a
@@ -500,7 +502,11 @@ class AutomatonMonitor:
     path's own prefix.  The interaction rule with partial-order
     reduction: POR picks the ample branches first, the monitor then
     probes whatever prefix is actually explored -- neither consults the
-    other, so both remain pure functions of state+path.
+    other, so both remain pure functions of state+path.  The scheduler
+    calls :meth:`advance` at branch points only (nodes expanding two or
+    more branches); a verdict at a single-branch node reaches no run
+    that the next branch point below does not decide the same way (see
+    :func:`repro.sim.scheduler.explore`).
 
     ``correspondence=None`` monitors raw computations (unit tests,
     benches); the engine always passes the problem correspondence so
@@ -579,14 +585,13 @@ class AutomatonMonitor:
                 return n, True
         return n, False
 
-    def advance(self, node: _MonitorNode, state,
-                depth: int) -> _MonitorNode:
-        """Feed one scheduler node's prefix to the remaining automata.
+    def advance(self, node: _MonitorNode, state) -> _MonitorNode:
+        """Feed one branch point's prefix to the remaining automata.
 
         Returns ``node`` unchanged when nothing was decided (the common
         case; free once every automaton is decided or the budgets are
-        spent, and nearly free when the last steps emitted no
-        significant event)."""
+        spent, and nearly free when the steps since the last branch
+        point emitted no significant event)."""
         if not node.active:
             return node
         if (self.probes >= self._budget

@@ -126,7 +126,8 @@ class EngineStats:
     # restriction automata (repro.core.automata): exploration-time
     # monitor activity plus checker-side DFA routing
     dfa_probes = _counter(
-        "dfa.probes", "guard probes the automaton monitor evaluated")
+        "dfa.probes",
+        "guard probes the automaton monitor evaluated at branch points")
     dfa_cuts = _counter(
         "dfa.cuts",
         "branches cut early: a restriction hit its rejecting sink on a "

@@ -107,12 +107,28 @@ def explore(
     set is a subset of the full DFS order.
 
     ``dfa`` (an :class:`repro.core.automata.AutomatonMonitor`,
-    duck-typed) enables on-the-fly temporal checking: internal nodes
+    duck-typed) enables on-the-fly temporal checking: branch points
     feed their prefix to the monitor's restriction DFAs, and verdicts
     decided early (rejecting/accepting sinks reached) ride on each
     ``Run.decided`` so the checker can skip those restrictions.  POR
     prunes first, the monitor probes second; both are pure functions of
     state+path, so the run census, replay and witnesses are unchanged.
+
+    The monitor is probed only at *branch points*: internal nodes that
+    expand two or more branches (of the enabled actions, or of the
+    ample set under POR).  A node with one branch loses nothing:
+
+    * its subtree is its child's subtree, so a verdict decided there
+      reaches exactly the runs that one decided further down does;
+    * both sinks are absorbing over extensions (a rejected prefix is
+      rejected by every extension, an accepted one accepted), so the
+      next branch point below, whose prefix extends this node's, decides
+      every verdict this node would have;
+    * with no branch point below, the subtree is a single run, and the
+      checker examines that run's complete computation at the leaf for
+      about what the probe would have cost.
+
+    Leaves are never probed: a leaf's prefix is the full computation.
     """
     if max_steps < 1:
         raise VerificationError("max_steps must be positive")
@@ -140,14 +156,12 @@ def explore(
                 yield Run(state.computation(), choices, deadlocked=True,
                           decided=decided)
             return
-        # probe only at internal nodes: a leaf's "prefix" is the full
-        # computation, which the checker is about to examine anyway
-        if mnode is not None:
-            mnode = dfa.advance(mnode, state, len(choices))
         if por is None:
             branches = range(len(actions))
         else:
             branches = por.ample(state, actions, postponed)
+        if mnode is not None and len(branches) > 1:
+            mnode = dfa.advance(mnode, state)
         last = len(branches) - 1
         for n, i in enumerate(branches):
             chosen = actions[i]

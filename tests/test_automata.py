@@ -8,7 +8,10 @@ Four layers of guarantees:
   alphabets.
 * **Soundness** -- a guard verdict decided on a *prefix* equals the
   restriction's verdict on every completion; the monitor is a pure
-  observer (exploration census byte-identical with and without it).
+  observer (exploration census byte-identical with and without it),
+  probed at branch points only, where it decides what the every-node
+  placement of ``tests/reference_monitor.py`` decides for every run
+  that shares its cut prefix with another.
 * **Determinism** -- report signatures are byte-identical with ``--dfa``
   on/off, across ``--jobs 1/4`` and through the serve daemon, and the
   failing-run witnesses of an early-cut violation match the walked ones.
@@ -25,7 +28,7 @@ import random
 import pytest
 
 from repro.bench import run_bench, _suite_selected
-from repro.cli import _build_cases
+from repro.cli import _build_cases, case_catalog
 from repro.core.automata import (
     BOX_REJECT,
     DIA_ACCEPT,
@@ -56,6 +59,7 @@ from repro.core.formula import (
     PyPred,
     Restriction,
 )
+from repro.engine.por import AmpleSelector
 from repro.fuzz import check_dfa_agrees, oracle_names
 from repro.fuzz.programs import random_program_spec
 from repro.problems.readers_writers import rw_problem_spec
@@ -67,8 +71,13 @@ from repro.problems.ring import (
     ring_spec,
     tally_spec,
 )
-from repro.sim.scheduler import explore, explore_or_sample
+from repro.sim.scheduler import (
+    explore,
+    explore_or_sample,
+    replay_with_postponed,
+)
 from repro.verify.sat import verify_program
+from tests.reference_monitor import every_node_explore
 
 CASE = "monitor-tally-mesa"
 
@@ -235,7 +244,7 @@ class TestProbeAndMonitor:
     def test_monitor_is_a_pure_observer(self):
         """Law zero: the census with the monitor is byte-identical."""
         spec = ring_spec()
-        program = RingProgram(workers=2, rounds=3)
+        program = RingProgram(workers=2, rounds=4)
         monitor = ring_monitor(spec)
         plain = [(r.choices, r.computation.stable_fingerprint(),
                   r.deadlocked, r.truncated, r.blocked)
@@ -244,24 +253,25 @@ class TestProbeAndMonitor:
                     r.deadlocked, r.truncated, r.blocked)
                    for r in explore(program, dfa=monitor)]
         assert plain == watched
-        assert len(plain) == 20  # C(6, 3): every interleaving distinct
+        assert len(plain) == 70  # C(8, 4): every interleaving distinct
         assert monitor.cuts > 0
         assert monitor.probes <= monitor.projections
 
     def test_early_verdicts_match_completed_computations(self):
         spec = ring_spec()
-        for run in explore(RingProgram(workers=2, rounds=3),
+        for run in explore(RingProgram(workers=2, rounds=4),
                            dfa=ring_monitor(spec)):
             truth = {o.name: o.holds for o in check_computation(
                 run.computation, spec, temporal_mode="lattice").outcomes}
             for name, holds in run.decided:
                 assert truth[name] == holds
-            # 2 workers x 3 rounds always exceeds the 3-mark budget
+            # 2 workers x 4 rounds always exceeds the 3-mark budget,
+            # with a round left to branch on when it does
             assert dict(run.decided)["ring-mark-budget"] is False
 
     def test_checker_routes_decided_verdicts(self):
         spec = ring_spec()
-        run = next(iter(explore(RingProgram(workers=2, rounds=3),
+        run = next(iter(explore(RingProgram(workers=2, rounds=4),
                                 dfa=ring_monitor(spec))))
         routed = check_computation(run.computation, spec,
                                    decided=dict(run.decided))
@@ -276,9 +286,150 @@ class TestProbeAndMonitor:
         spec = ring_spec()
         plan = automata_plan_for(spec)
         monitor = AutomatonMonitor(plan, spec, probe_budget=0)
-        runs = list(explore(RingProgram(workers=2, rounds=3), dfa=monitor))
+        runs = list(explore(RingProgram(workers=2, rounds=4), dfa=monitor))
         assert monitor.probes == 0 and monitor.cuts == 0
         assert all(run.decided == () for run in runs)
+
+
+# -- probe placement: branch points only -------------------------------------
+
+
+class CountingMonitor(AutomatonMonitor):
+    """Counts :meth:`advance` calls and the enabled actions at each."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def advance(self, node, state):
+        self.calls.append(len(state.enabled()))
+        return super().advance(node, state)
+
+
+def branch_points(program, por_factory) -> int:
+    """Internal nodes that expand two or more branches, counted by an
+    independent replay-per-node walk."""
+    count = 0
+    stack = [()]
+    while stack:
+        choices = stack.pop()
+        state, postponed = replay_with_postponed(program, choices)
+        actions = state.enabled()
+        if not actions:
+            continue
+        por = por_factory()
+        branches = (range(len(actions)) if por is None
+                    else por.ample(state, actions, postponed))
+        count += len(branches) > 1
+        stack.extend(choices + (i,) for i in branches)
+    return count
+
+
+def rw_program():
+    from repro.langs.monitor import MonitorProgram, readers_writers_system
+    return MonitorProgram(readers_writers_system(1, 1),
+                          eager_reductions=False)
+
+
+class TestBranchPointProbes:
+    @pytest.mark.parametrize("make_program", [
+        lambda: RingProgram(workers=3, rounds=2), rw_program,
+    ], ids=["ring", "readers-writers"])
+    @pytest.mark.parametrize("por", [None, AmpleSelector],
+                             ids=["full", "ample"])
+    def test_advance_once_per_branch_point(self, make_program, por):
+        spec = ring_spec()
+        monitor = CountingMonitor(automata_plan_for(spec), spec)
+        factory = por or (lambda: None)
+        list(explore(make_program(), por=factory(), dfa=monitor))
+        assert len(monitor.calls) == branch_points(make_program(), factory)
+        assert monitor.calls and min(monitor.calls) >= 2
+
+    def test_budget_crossed_only_at_single_branch_nodes(self):
+        """With three rounds a worker stamps its third mark as its last
+        step, so every node past the crossing has one branch: the
+        branch-point monitor decides nothing, and the checker rejects
+        every run at its leaf."""
+        spec = ring_spec()
+        program = RingProgram(workers=2, rounds=3)
+        monitor = ring_monitor(spec)
+        runs = list(explore(program, dfa=monitor))
+        assert len(runs) == 20  # C(6, 3)
+        assert monitor.cuts == 0 and monitor.accepts == 0
+        assert all(run.decided == () for run in runs)
+        assert not any(check_computation(run.computation, spec).ok
+                       for run in runs)
+        # the every-node placement cut each of those one-run subtrees
+        reference = ring_monitor(spec)
+        every_node_explore(program, dfa=reference)
+        assert reference.cuts == len(runs)
+
+
+def monitored_workloads():
+    for name, entry in case_catalog().items():
+        for mutant in (False, True) if entry.has_mutant else (False,):
+            program, spec, corr, _pspec = entry.factory(mutant)
+            if automata_plan_for(spec).monitorable:
+                yield f"{name}{'-mutant' if mutant else ''}"
+
+
+MONITORED = list(monitored_workloads())
+TIER1_MONITORED = ("monitor-tally-mesa-mutant", "monitor-readers-writers",
+                   "objects-lock-mutant")
+
+
+def assert_placements_agree(program, spec, corr=None) -> int:
+    """Each run's branch-point verdicts are a subset of its every-node
+    verdicts; one is missing only where the every-node monitor decided
+    it in a subtree of that single run.  Returns how many are missing."""
+    plan = automata_plan_for(spec)
+
+    def monitor():
+        return AutomatonMonitor(plan, spec, correspondence=corr)
+
+    walked = list(explore(program, por=AmpleSelector(), dfa=monitor()))
+    reference = every_node_explore(program, por=AmpleSelector(),
+                                   dfa=monitor())
+    assert [(r.choices, r.computation.stable_fingerprint())
+            for r in walked] == [(c, fp) for c, fp, *_ in reference]
+    missed = 0
+    for run, (choices, _fp, ref_decided, depths) in zip(walked, reference):
+        assert set(run.decided) <= set(ref_decided), choices
+        for missing in dict(ref_decided).keys() - dict(run.decided).keys():
+            cut = choices[:depths[missing]]
+            sharing = [c for c, *_ in reference if c[:len(cut)] == cut]
+            assert sharing == [choices], (choices, missing)
+            missed += 1
+    return missed
+
+
+def catalog_placements_agree(workload: str) -> None:
+    name = workload.removesuffix("-mutant")
+    program, spec, corr, _pspec = case_catalog()[name].factory(
+        workload.endswith("-mutant"))
+    assert_placements_agree(program, spec, corr)
+
+
+class TestPlacementDifferential:
+    def test_tier1_workloads_are_monitored(self):
+        assert set(TIER1_MONITORED) <= set(MONITORED)
+
+    @pytest.mark.parametrize("workload", TIER1_MONITORED)
+    def test_branch_points_decide_what_every_node_decides(self, workload):
+        catalog_placements_agree(workload)
+
+    def test_missing_verdicts_are_single_run_subtrees(self):
+        """The ring budget crossed at single-branch nodes: every
+        every-node verdict is missing, each from a one-run subtree."""
+        missed = assert_placements_agree(RingProgram(workers=2, rounds=3),
+                                         ring_spec())
+        assert missed == 20
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("workload", MONITORED)
+    def test_branch_points_decide_what_every_node_decides_catalog(
+            self, workload):
+        catalog_placements_agree(workload)
 
 
 # -- plan and fingerprint memoisation ----------------------------------------
@@ -351,7 +502,7 @@ class TestDeterminism:
 
     def test_exploration_describe_surfaces_dfa_provenance(self):
         spec = ring_spec()
-        exploration = explore_or_sample(RingProgram(workers=2, rounds=3),
+        exploration = explore_or_sample(RingProgram(workers=2, rounds=4),
                                         dfa=ring_monitor(spec))
         assert exploration.exhaustive
         assert exploration.dfa_cuts > 0
@@ -442,6 +593,30 @@ class TestBenchFilter:
         buf = io.StringIO()
         assert run_bench(quick=True, only="zzz", out=buf) == 2
         assert "no bench rows match" in buf.getvalue()
+
+    def test_only_json_merges_into_the_existing_file(self, tmp_path):
+        """A filtered ``--json`` run replaces the rows it ran and keeps
+        every other row, so their gates survive."""
+        kept = {"gate": True, "lattice_s": 1.0, "compiled_s": 0.1,
+                "speedup": 10.0}
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({
+            "schema": 1, "bench": "repro bench", "quick": False,
+            "gate_tolerance": 0.25,
+            "workloads": {
+                "checker:2x20": kept,
+                "dfa:early-violation": {"gate": True, "cuts": 0,
+                                        "speedup": 1.0},
+            },
+        }))
+        assert run_bench(quick=True, only="dfa:", json_path=str(path),
+                         out=io.StringIO()) == 0
+        payload = json.loads(path.read_text())
+        assert payload["quick"] is False
+        rows = payload["workloads"]
+        assert sorted(rows) == ["checker:2x20", "dfa:early-violation"]
+        assert rows["checker:2x20"] == kept
+        assert rows["dfa:early-violation"]["cuts"] == 20
 
     def test_quick_dfa_row_is_gated_and_wins(self):
         buf = io.StringIO()

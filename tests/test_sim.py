@@ -126,7 +126,8 @@ def reference_explore(program, max_steps=scheduler.DEFAULT_MAX_STEPS,
 
     Yields ``(choices, stable fingerprint, deadlocked, truncated,
     decided)`` per run, in DFS order -- what :func:`explore` must
-    reproduce exactly.
+    reproduce exactly.  The monitor is probed at branch points (two or
+    more expanded branches) only, as :func:`explore` does.
     """
     def rec(choices, mnode):
         state, postponed = scheduler.replay_with_postponed(program, choices)
@@ -137,10 +138,10 @@ def reference_explore(program, max_steps=scheduler.DEFAULT_MAX_STEPS,
             yield (choices, state.computation().stable_fingerprint(),
                    deadlocked, bool(actions), decided)
             return
-        if mnode is not None:
-            mnode = dfa.advance(mnode, state, len(choices))
         branches = (range(len(actions)) if por is None
                     else por.ample(state, actions, postponed))
+        if mnode is not None and len(branches) > 1:
+            mnode = dfa.advance(mnode, state)
         for i in branches:
             yield from rec(choices + (i,), mnode)
 
@@ -213,7 +214,7 @@ class TestForwardWalk:
     @pytest.mark.parametrize("por", [None, AmpleSelector],
                              ids=["full", "ample"])
     def test_matches_replay_per_node_with_monitor(self, por):
-        """The monitor freezes internal nodes' states, which the walk
+        """The monitor freezes branch points' states, which the walk
         then steps into their last branch: its early verdicts must
         still be those of the replayed prefixes."""
         from repro.core.automata import AutomatonMonitor, automata_plan_for
@@ -226,7 +227,7 @@ class TestForwardWalk:
         def selector():
             return por() if por else None
 
-        program = RingProgram(workers=2, rounds=3)
+        program = RingProgram(workers=2, rounds=4)
         walked = census(explore(program, por=selector(), dfa=monitor()))
         assert walked == reference_explore(program, por=selector(),
                                            dfa=monitor())

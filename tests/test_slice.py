@@ -31,7 +31,15 @@ from repro.core.checker import (
     check_computation,
     check_restriction,
 )
-from repro.core.formula import Henceforth, Not, PyPred, Restriction
+from repro.core.formula import (
+    ForAll,
+    Henceforth,
+    Not,
+    Occurred,
+    Or,
+    PyPred,
+    Restriction,
+)
 from repro.core.slice import (
     SliceChecker,
     SliceError,
@@ -449,6 +457,24 @@ class TestSliceChecker:
         analysis = checker.analyze(spec.restriction("readers-priority"))
         assert analysis.kind == "non-regular"
         assert analysis.verdict is None
+
+    def test_contradictory_cubes_are_dropped(self):
+        """□ ∀x. (occurred(x) ∨ ¬occurred(x)) is decided by searching
+        for a cut satisfying its negation ∃x. (¬occurred(x) ∧
+        occurred(x)).  Over 4 marks that grounds to 4 cubes, each
+        pairing a literal with its own negation; a DNF that keeps
+        contradictory cubes reports ``linear`` / ``max 4 cube(s)``."""
+        from repro.problems.ring import MARK, RingProgram, ring_spec
+
+        run = next(iter(explore(RingProgram(workers=2, rounds=2))))
+        comp = ring_spec().label_threads(run.computation)
+        assert len(comp) == 4
+        r = Restriction("excluded-middle", Henceforth(ForAll(
+            "x", MARK, Or((Occurred("x"), Not(Occurred("x")))))))
+        analysis = SliceChecker(comp).analyze(r)
+        assert (analysis.kind, analysis.detail) == (
+            "regular", "max 1 cube(s)")
+        assert analysis.verdict is True
 
     def test_slice_agrees_on_exhaustive_exploration(self):
         """Every distinct computation of a small exhaustive exploration:
