@@ -345,8 +345,8 @@ def _print_witness(program, spec, correspondence, report, tracer=None,
     subformula explanation trace; ``dot_file`` additionally writes the
     explanation's Graphviz rendering.
     """
-    from .core.witness import find_witness
-    from .obs import NULL_TRACER
+    from .core.witness import descend
+    from .obs import NULL_TRACER, ExplanationTrace
     from .sim import explore
     from .sim.scheduler import replay_prefix
     from .verify import project
@@ -375,13 +375,12 @@ def _print_witness(program, spec, correspondence, report, tracer=None,
                 return 0
         projected = spec.label_threads(
             project(computation, correspondence))
-        witness = find_witness(projected, restriction)
-        explanation = None
-        if tracer.enabled or dot_file:
-            from .obs import explain_restriction
-
-            explanation = explain_restriction(projected, restriction)
-            if explanation is not None:
+        found = descend(projected, restriction)
+        witness = explanation = None
+        if found is not None:
+            witness = found[1]
+            if tracer.enabled or dot_file:
+                explanation = ExplanationTrace.of(restriction, found)
                 tracer.add_explanation(explanation.to_record())
     print(f"\ncounterexample for {verdict.name!r} (run {run_index}):")
     if witness is None:

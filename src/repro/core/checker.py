@@ -308,7 +308,7 @@ def check_restriction(
 
     With ``with_witness``, a failing outcome's detail carries a located
     counterexample (the failing history and quantifier bindings) from
-    :mod:`repro.core.witness` -- costs roughly one extra check.
+    :func:`repro.core.witness.descend`.
 
     ``metrics`` (a :class:`repro.obs.MetricsRegistry`, duck-typed so
     this module needs no obs import) receives ``checker.evals`` /
@@ -316,10 +316,12 @@ def check_restriction(
     ``checker.compiled_evals`` / ``checker.fallbacks`` on the compiled
     route and the ``checker.dfa_*`` / ``checker.slice_*`` routing
     counters).  ``tracer`` (a :class:`repro.obs.Tracer`) wraps the
-    evaluation in a ``restriction`` span, and on failure records a
-    subformula evaluation trace (:mod:`repro.obs.explain`) explaining
-    which binding / history prefix / temporal unrolling flipped the
-    verdict; explanations always come from the reference interpreter.
+    evaluation in a ``restriction`` span, and on failure is handed the
+    same descent (``tracer.explain``), which it records as a subformula
+    evaluation trace (:mod:`repro.obs.explain`) explaining which
+    binding / history prefix / temporal unrolling flipped the verdict.
+    A failure runs that descent once, through the reference
+    interpreter, whether the witness, the trace or both ask for it.
 
     ``context`` (a :class:`repro.core.plan.CheckContext`) carries the
     plan and the computation's backends that :func:`check_computation`
@@ -340,20 +342,15 @@ def check_restriction(
     tracing = tracer is not None and getattr(tracer, "enabled", False)
 
     def fail(detail: str) -> RestrictionOutcome:
-        if tracing:
-            from ..obs.explain import explain_restriction
+        if tracing or with_witness:
+            from .witness import descend
 
-            explanation = explain_restriction(computation, restriction,
-                                              history_cap=history_cap)
-            if explanation is not None:
-                tracer.add_explanation(explanation.to_record())
-        if with_witness:
-            from .witness import find_witness
-
-            witness = find_witness(computation, restriction,
-                                   history_cap=history_cap)
-            if witness is not None:
-                detail = f"{detail}; witness: {witness.describe()}"
+            found = descend(computation, restriction, history_cap)
+            if found is not None:
+                if tracing:
+                    tracer.explain(restriction, found)
+                if with_witness:
+                    detail = f"{detail}; witness: {found[1].describe()}"
         return RestrictionOutcome(name, False, detail)
 
     def verdict(holds: bool) -> RestrictionOutcome:

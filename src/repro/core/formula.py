@@ -357,10 +357,6 @@ class Iff(Formula):
 # ---------------------------------------------------------------------------
 
 
-def _computation_of(history: History) -> Computation:
-    return history.computation
-
-
 class _Quantifier(Formula):
     """Shared machinery: bind ``var`` over ``dom`` and fold the body."""
 

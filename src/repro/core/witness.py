@@ -1,27 +1,30 @@
-"""Counterexample extraction for failed restrictions.
+"""Counterexamples and explanations for failed restrictions: one descent.
 
 A bare "restriction R fails" is a poor verdict for a verification tool;
 this module recovers *where* and *under which bindings* a formula
-failed, so reports can show the offending history and events.
+failed, and *how* the verdict was reached.  :func:`descend` walks the
+failing formula once, over one shared
+:class:`~repro.core.checker.LatticeChecker`:
 
-Witness search mirrors formula evaluation:
+* quantifiers and connectives: descend into the falsifying binding
+  (for ∀), the failing conjunct, or the consequent of a failing ⊃;
+  ∃, ∨, ¬, ≡ and atoms are leaves;
+* □: breadth-first search of the history lattice for the first history
+  falsifying the body, then descend into the body there;
+* ◇: a maximal path on which the body never holds, reported by its
+  final history (a leaf).
 
-* immediate formulae: descend through quantifiers collecting the
-  binding that falsifies (for ∀ / satisfies for ∃-failure counts) and
-  report it with the history;
-* temporal formulae: search the history lattice for a failing history
-  (for □-shaped failures) or a maximal path that never satisfies the
-  body (for ◇-shaped failures, reported by its final history).
-
-The search re-evaluates subformulae, so it costs about as much as the
-original check; it is invoked only on failure.
+It records the walk as a tree of :class:`ExplainStep` nodes (rendered
+by :mod:`repro.obs.explain`); the :class:`Witness` is the leaf it
+reaches: that history, the bindings there, and the trail of phrases
+along the path.  It runs only on failure.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .computation import Computation
 from .event import Event
@@ -41,6 +44,10 @@ from .formula import (
 from .history import History, empty_history, full_history
 
 
+def _names(history: History) -> Tuple[str, ...]:
+    return tuple(sorted(str(e) for e in history.events))
+
+
 @dataclass
 class Witness:
     """A counterexample: the failing history plus the event bindings.
@@ -56,13 +63,153 @@ class Witness:
     trail: List[str] = field(default_factory=list)
 
     def describe(self) -> str:
-        lines = []
-        occurred = sorted(str(e) for e in self.history.events)
-        lines.append(f"at history {{{', '.join(occurred)}}}")
+        lines = [f"at history {{{', '.join(_names(self.history))}}}"]
         for var, ev in self.bindings.items():
             lines.append(f"  {var} = {ev.describe()}")
         lines.extend(f"  {t}" for t in self.trail)
         return "\n".join(lines)
+
+
+@dataclass
+class ExplainStep:
+    """One node of the failing descent.
+
+    ``history`` is the (sorted, stringified) event set of the history at
+    which this step's verdict was taken, when the step pinned one down
+    -- □/◇ steps and leaves do, the others inherit their parent's.
+    """
+
+    kind: str
+    formula: str
+    note: str
+    history: Optional[Tuple[str, ...]] = None
+    binding: Optional[str] = None
+    children: List["ExplainStep"] = field(default_factory=list)
+
+    def to_dict(self) -> Dict[str, Any]:
+        out: Dict[str, Any] = {"kind": self.kind, "formula": self.formula,
+                               "note": self.note}
+        if self.history is not None:
+            out["history"] = list(self.history)
+        if self.binding is not None:
+            out["binding"] = self.binding
+        if self.children:
+            out["children"] = [c.to_dict() for c in self.children]
+        return out
+
+
+#: A descent's result: the root of the explanation, and the witness at
+#: its leaf.
+Found = Tuple[ExplainStep, Witness]
+
+
+def descend(
+    computation: Computation,
+    restriction: Restriction,
+    history_cap: int = 500_000,
+) -> Optional[Found]:
+    """The failing descent of ``restriction`` on ``computation``.
+
+    Returns None when the restriction holds, or when a lattice search
+    gives up at ``history_cap`` visits (counted across all of the
+    descent's □/◇ searches) and so cannot localise the failure.
+    """
+    from .checker import LatticeChecker  # lazy: keeps layering one-way
+
+    checker = LatticeChecker(computation, history_cap=history_cap)
+    visited = [0]
+
+    def walk(formula: Formula, history: History, env: Dict[str, Event],
+             trail: List[str]) -> Optional[Found]:
+        """Why ``formula`` is false at ``history`` under ``env``."""
+        text = formula.describe()
+
+        def leaf(kind: str, note: str, phrase: str,
+                 at: History = history) -> Found:
+            return (ExplainStep(kind, text, note, history=_names(at)),
+                    Witness(at, dict(env), trail + [phrase]))
+
+        def node(kind: str, note: str, found: Optional[Found],
+                 at: Optional[History] = None,
+                 binding: Optional[str] = None) -> Optional[Found]:
+            if found is None:
+                return None
+            step = ExplainStep(kind, text, note, binding=binding,
+                               history=None if at is None else _names(at),
+                               children=[found[0]])
+            return step, found[1]
+
+        if isinstance(formula, Henceforth):
+            target = _first_failing_history(computation, formula.body,
+                                            history, env, checker, visited,
+                                            history_cap)
+            if target is None:
+                return None
+            phrase = "□ fails at a reachable history"
+            return node("henceforth", phrase,
+                        walk(formula.body, target, env, trail + [phrase]),
+                        at=target)
+        if isinstance(formula, Eventually):
+            terminal = _path_avoiding(computation, formula.body, history,
+                                      env, checker, visited, history_cap)
+            if terminal is None:
+                return None
+            return leaf("eventually",
+                        "◇ fails: a maximal path never satisfies the body "
+                        "(shown: its final history)",
+                        "a maximal path never satisfies the ◇ body; "
+                        "shown: its final history", at=terminal)
+        if isinstance(formula, ForAll):
+            for ev in formula.dom.events(computation):
+                env2 = {**env, formula.var: ev}
+                if not checker.holds(formula.body, history, env2):
+                    binding = f"{formula.var} = {ev.describe()}"
+                    return node("forall", f"∀{formula.var} fails",
+                                walk(formula.body, history, env2,
+                                     trail + [f"∀ fails for {binding}"]),
+                                binding=binding)
+            if not formula.is_temporal():
+                return leaf("forall",
+                            "∀ fails (no falsifying binding located)",
+                            f"fails: {text}")
+        if isinstance(formula, Implies):
+            return node("implies",
+                        "⊃ fails: antecedent holds, consequent fails",
+                        walk(formula.consequent, history, env,
+                             trail + ["antecedent holds, consequent fails"]))
+        if isinstance(formula, And):
+            for part in formula.parts:
+                if not checker.holds(part, history, env):
+                    return node("and",
+                                f"∧ fails on conjunct: {part.describe()}",
+                                walk(part, history, env,
+                                     trail + ["conjunct fails: "
+                                              f"{part.describe()}"]))
+        if formula.is_temporal():
+            return leaf("temporal", f"fails: {text}", f"fails: {text}")
+        if isinstance(formula, Exists):
+            return leaf("exists",
+                        f"∃{formula.var} fails: no event in "
+                        f"{formula.dom.describe()} satisfies the body",
+                        f"no {formula.var} in {formula.dom.describe()} "
+                        "satisfies the body")
+        if isinstance(formula, Or):
+            return leaf("or", "∨ fails: no disjunct holds",
+                        "no disjunct holds")
+        if isinstance(formula, Not):
+            body = formula.body.describe()
+            return leaf("not", f"¬ fails: {body} holds",
+                        f"negated formula holds: {body}")
+        if isinstance(formula, Iff):
+            return leaf("iff", "≡ fails: sides disagree", "sides disagree")
+        return leaf("atom", f"fails: {text}", f"fails: {text}")
+
+    formula = restriction.formula
+    start = (empty_history(computation) if formula.is_temporal()
+             else full_history(computation))
+    if checker.holds(formula, start):
+        return None
+    return walk(formula, start, {}, [])
 
 
 def find_witness(
@@ -75,117 +222,8 @@ def find_witness(
     Returns None when the restriction actually holds (or when the search
     cannot localise the failure below the given cap).
     """
-    formula = restriction.formula
-    if not formula.is_temporal():
-        history = full_history(computation)
-        return _search_immediate(formula, history, {}, [])
-    return _search_temporal(computation, formula, empty_history(computation),
-                            {}, [], [0], history_cap)
-
-
-def _search_immediate(
-    formula: Formula, history: History, env: Dict[str, Event],
-    trail: List[str],
-) -> Optional[Witness]:
-    """Find why an immediate formula is false at ``history``."""
-    if formula.holds_at(history, env):
-        return None
-    if isinstance(formula, ForAll):
-        for ev in formula.dom.events(history.computation):
-            env2 = dict(env)
-            env2[formula.var] = ev
-            if not formula.body.holds_at(history, env2):
-                return _search_immediate(
-                    formula.body, history, env2,
-                    trail + [f"∀ fails for {formula.var} = {ev.describe()}"],
-                )
-    elif isinstance(formula, Exists):
-        return Witness(history, dict(env),
-                       trail + [f"no {formula.var} in "
-                                f"{formula.dom.describe()} satisfies the body"])
-    elif isinstance(formula, Implies):
-        return _search_immediate(formula.consequent, history, env,
-                                 trail + ["antecedent holds, consequent fails"])
-    elif isinstance(formula, And):
-        for part in formula.parts:
-            if not part.holds_at(history, env):
-                return _search_immediate(
-                    part, history, env,
-                    trail + [f"conjunct fails: {part.describe()}"])
-    elif isinstance(formula, Or):
-        return Witness(history, dict(env),
-                       trail + ["no disjunct holds"])
-    elif isinstance(formula, Not):
-        return Witness(history, dict(env),
-                       trail + [f"negated formula holds: "
-                                f"{formula.body.describe()}"])
-    elif isinstance(formula, Iff):
-        return Witness(history, dict(env), trail + ["sides disagree"])
-    return Witness(history, dict(env),
-                   trail + [f"fails: {formula.describe()}"])
-
-
-def _search_temporal(
-    computation: Computation,
-    formula: Formula,
-    history: History,
-    env: Dict[str, Event],
-    trail: List[str],
-    visited: List[int],
-    cap: int,
-) -> Optional[Witness]:
-    """Find a failing history for a temporal formula (lattice semantics)."""
-    from .checker import LatticeChecker
-
-    checker = LatticeChecker(computation, history_cap=cap)
-    if checker.holds(formula, history, env):
-        return None
-
-    if isinstance(formula, Henceforth):
-        target = _first_failing_history(computation, formula.body, history,
-                                        env, checker, visited, cap)
-        if target is not None:
-            body = formula.body
-            sub_trail = trail + ["□ fails at a reachable history"]
-            if body.is_temporal():
-                return _search_temporal(computation, body, target, env,
-                                        sub_trail, visited, cap)
-            return (_search_immediate(body, target, env, sub_trail)
-                    or Witness(target, dict(env), sub_trail))
-    if isinstance(formula, Eventually):
-        terminal = _path_avoiding(computation, formula.body, history, env,
-                                  checker, visited, cap)
-        if terminal is not None:
-            return Witness(
-                terminal, dict(env),
-                trail + ["a maximal path never satisfies the ◇ body; "
-                         "shown: its final history"])
-    if isinstance(formula, ForAll):
-        for ev in formula.dom.events(computation):
-            env2 = dict(env)
-            env2[formula.var] = ev
-            if not checker.holds(formula.body, history, env2):
-                return _search_temporal(
-                    computation, formula.body, history, env2,
-                    trail + [f"∀ fails for {formula.var} = {ev.describe()}"],
-                    visited, cap)
-    if isinstance(formula, Implies):
-        return _search_temporal(computation, formula.consequent, history, env,
-                                trail + ["antecedent holds, consequent fails"],
-                                visited, cap)
-    if isinstance(formula, And):
-        for part in formula.parts:
-            if not checker.holds(part, history, env):
-                return _search_temporal(
-                    computation, part, history, env,
-                    trail + [f"conjunct fails: {part.describe()}"],
-                    visited, cap)
-    # other shapes: report at the current history
-    if formula.is_temporal():
-        return Witness(history, dict(env),
-                       trail + [f"fails: {formula.describe()}"])
-    return (_search_immediate(formula, history, env, trail)
-            or Witness(history, dict(env), trail))
+    found = descend(computation, restriction, history_cap)
+    return None if found is None else found[1]
 
 
 def _holds_at(checker, body, computation, mask, env) -> bool:

@@ -25,10 +25,12 @@ Three legs, three modules (plus the offline analyser):
   ``/metrics`` + ``/stats`` + ``/jobs``.
 
 Layering: ``obs.metrics`` and ``obs.trace`` import nothing above
-:mod:`repro.core.errors`, so every layer (core checker, scheduler,
-engine, fuzzer) can accept a tracer/registry without cycles;
-``obs.explain`` builds on :mod:`repro.core.witness`.  Callers that were
-handed no tracer use :data:`NULL_TRACER` and pay a truthiness check.
+:mod:`repro.core.errors` at load time, so every layer (core checker,
+scheduler, engine, fuzzer) can accept a tracer/registry without cycles;
+``obs.explain`` renders the failure descent of
+:mod:`repro.core.witness` (``Tracer.explain`` imports it when a traced
+check fails).  Callers that were handed no tracer use
+:data:`NULL_TRACER` and pay a truthiness check.
 """
 
 from .explain import ExplainStep, ExplanationTrace, explain_restriction

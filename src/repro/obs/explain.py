@@ -1,82 +1,28 @@
-"""Subformula evaluation traces: *why* a restriction failed.
+"""Failure explanations: *how* a restriction's failing verdict was reached.
 
-:mod:`repro.core.witness` answers "where" -- the failing history and
-bindings.  This module answers "how the verdict was reached": the full
-descent through the formula, recorded as a tree of
-:class:`ExplainStep` nodes -- which quantifier binding was the
-falsifying one, which history prefix a □ first failed at, which maximal
-path never satisfied a ◇ body.  The descent mirrors
-``witness._search_immediate`` / ``_search_temporal`` step for step (and
-reuses their lattice-search helpers), so the explanation and the
-witness always agree; the witness itself is attached to the trace.
-
-Renderings: :meth:`ExplanationTrace.render_text` (indented, for
+:func:`repro.core.witness.descend` walks a failing formula once and
+records the walk as a tree of :class:`ExplainStep` nodes -- which
+quantifier binding was the falsifying one, which history prefix a □
+first failed at, which maximal path never satisfied a ◇ body -- with
+the :class:`~repro.core.witness.Witness` at its leaf.  This module
+renders that result: :class:`ExplanationTrace` holds the tree and the
+witness, and :meth:`ExplanationTrace.render_text` (indented, for
 terminals), :meth:`ExplanationTrace.to_dot` (Graphviz, for posters and
-bug reports), :meth:`ExplanationTrace.to_record` (the JSONL
-``{"type": "explanation"}`` record of :mod:`repro.obs.trace`).
-
-Cost: one extra check's worth of evaluation, paid only on failure --
-the same bargain the witness machinery already makes.
+bug reports) and :meth:`ExplanationTrace.to_record` (the JSONL
+``{"type": "explanation"}`` record of :mod:`repro.obs.trace`) show it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from ..core.computation import Computation
-from ..core.event import Event
-from ..core.formula import (
-    And,
-    Eventually,
-    Exists,
-    ForAll,
-    Formula,
-    Henceforth,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Restriction,
-)
-from ..core.history import History, empty_history, full_history
-from ..core.witness import (
-    Witness,
-    _first_failing_history,
-    _path_avoiding,
-    find_witness,
-)
+from ..core.formula import Restriction
+from ..core.witness import ExplainStep, Found, Witness, descend
 
 #: Cap matching find_witness's default.
 DEFAULT_EXPLAIN_CAP = 500_000
-
-
-@dataclass
-class ExplainStep:
-    """One node of the failing descent.
-
-    ``history`` is the (sorted, stringified) event set of the history at
-    which this step's verdict was taken, when the step pinned one down
-    -- □/◇ steps do, propositional steps inherit their parent's.
-    """
-
-    kind: str
-    formula: str
-    note: str
-    history: Optional[Tuple[str, ...]] = None
-    binding: Optional[str] = None
-    children: List["ExplainStep"] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"kind": self.kind, "formula": self.formula,
-                               "note": self.note}
-        if self.history is not None:
-            out["history"] = list(self.history)
-        if self.binding is not None:
-            out["binding"] = self.binding
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
 
 
 @dataclass
@@ -87,6 +33,13 @@ class ExplanationTrace:
     formula: str
     root: ExplainStep
     witness: Optional[Witness] = None
+
+    @classmethod
+    def of(cls, restriction: Restriction, found: Found) -> "ExplanationTrace":
+        """The explanation of one failing descent of ``restriction``."""
+        root, witness = found
+        return cls(restriction.name, restriction.formula.describe(), root,
+                   witness)
 
     def render_text(self) -> str:
         lines = [f"explanation for restriction {self.restriction!r}:"]
@@ -148,10 +101,6 @@ class ExplanationTrace:
                 "dot": self.to_dot(), "steps": self.root.to_dict()}
 
 
-def _hist(history: History) -> Tuple[str, ...]:
-    return tuple(sorted(str(e) for e in history.events))
-
-
 def explain_restriction(
     computation: Computation,
     restriction: Restriction,
@@ -160,145 +109,7 @@ def explain_restriction(
     """Explain why ``restriction`` fails on ``computation``.
 
     Returns None when it actually holds (or the search cannot localise
-    the failure under the cap) -- mirroring :func:`find_witness`.
+    the failure under the cap) -- as :func:`find_witness` does.
     """
-    from ..core.checker import LatticeChecker  # lazy: keeps layering one-way
-
-    formula = restriction.formula
-    if not formula.is_temporal():
-        history = full_history(computation)
-        if formula.holds_at(history, {}):
-            return None
-        root = _explain_immediate(formula, history, {})
-    else:
-        checker = LatticeChecker(computation, history_cap=history_cap)
-        start = empty_history(computation)
-        if checker.holds(formula, start):
-            return None
-        root = _explain_temporal(computation, formula, start, {}, checker,
-                                 [0], history_cap)
-    witness = find_witness(computation, restriction, history_cap=history_cap)
-    return ExplanationTrace(restriction=restriction.name,
-                            formula=formula.describe(), root=root,
-                            witness=witness)
-
-
-def _explain_immediate(formula: Formula, history: History,
-                       env: Dict[str, Event]) -> ExplainStep:
-    """Record the descent of ``witness._search_immediate``."""
-    if isinstance(formula, ForAll):
-        for ev in formula.dom.events(history.computation):
-            env2 = dict(env)
-            env2[formula.var] = ev
-            if not formula.body.holds_at(history, env2):
-                step = ExplainStep(
-                    kind="forall", formula=formula.describe(),
-                    note=f"∀{formula.var} fails",
-                    binding=f"{formula.var} = {ev.describe()}")
-                step.children.append(
-                    _explain_immediate(formula.body, history, env2))
-                return step
-        return ExplainStep(kind="forall", formula=formula.describe(),
-                           note="∀ fails (no falsifying binding located)",
-                           history=_hist(history))
-    if isinstance(formula, Exists):
-        return ExplainStep(
-            kind="exists", formula=formula.describe(),
-            note=(f"∃{formula.var} fails: no event in "
-                  f"{formula.dom.describe()} satisfies the body"),
-            history=_hist(history))
-    if isinstance(formula, Implies):
-        step = ExplainStep(kind="implies", formula=formula.describe(),
-                           note="⊃ fails: antecedent holds, consequent fails")
-        step.children.append(
-            _explain_immediate(formula.consequent, history, env))
-        return step
-    if isinstance(formula, And):
-        for part in formula.parts:
-            if not part.holds_at(history, env):
-                step = ExplainStep(
-                    kind="and", formula=formula.describe(),
-                    note=f"∧ fails on conjunct: {part.describe()}")
-                step.children.append(_explain_immediate(part, history, env))
-                return step
-    if isinstance(formula, Or):
-        return ExplainStep(kind="or", formula=formula.describe(),
-                           note="∨ fails: no disjunct holds",
-                           history=_hist(history))
-    if isinstance(formula, Not):
-        return ExplainStep(
-            kind="not", formula=formula.describe(),
-            note=f"¬ fails: {formula.body.describe()} holds",
-            history=_hist(history))
-    if isinstance(formula, Iff):
-        return ExplainStep(kind="iff", formula=formula.describe(),
-                           note="≡ fails: sides disagree",
-                           history=_hist(history))
-    return ExplainStep(kind="atom", formula=formula.describe(),
-                       note=f"fails: {formula.describe()}",
-                       history=_hist(history))
-
-
-def _explain_temporal(computation: Computation, formula: Formula,
-                      history: History, env: Dict[str, Event],
-                      checker: Any, visited: List[int],
-                      cap: int) -> ExplainStep:
-    """Record the descent of ``witness._search_temporal``."""
-    if isinstance(formula, Henceforth):
-        target = _first_failing_history(computation, formula.body, history,
-                                        env, checker, visited, cap)
-        step = ExplainStep(kind="henceforth", formula=formula.describe(),
-                           note="□ fails at a reachable history",
-                           history=_hist(target) if target is not None
-                           else None)
-        if target is not None:
-            body = formula.body
-            if body.is_temporal():
-                step.children.append(_explain_temporal(
-                    computation, body, target, env, checker, visited, cap))
-            else:
-                step.children.append(
-                    _explain_immediate(body, target, env))
-        return step
-    if isinstance(formula, Eventually):
-        terminal = _path_avoiding(computation, formula.body, history, env,
-                                  checker, visited, cap)
-        return ExplainStep(
-            kind="eventually", formula=formula.describe(),
-            note="◇ fails: a maximal path never satisfies the body "
-                 "(shown: its final history)",
-            history=_hist(terminal) if terminal is not None else None)
-    if isinstance(formula, ForAll):
-        for ev in formula.dom.events(computation):
-            env2 = dict(env)
-            env2[formula.var] = ev
-            if not checker.holds(formula.body, history, env2):
-                step = ExplainStep(
-                    kind="forall", formula=formula.describe(),
-                    note=f"∀{formula.var} fails",
-                    binding=f"{formula.var} = {ev.describe()}")
-                step.children.append(_explain_temporal(
-                    computation, formula.body, history, env2, checker,
-                    visited, cap))
-                return step
-    if isinstance(formula, Implies):
-        step = ExplainStep(kind="implies", formula=formula.describe(),
-                           note="⊃ fails: antecedent holds, consequent fails")
-        step.children.append(_explain_temporal(
-            computation, formula.consequent, history, env, checker, visited,
-            cap))
-        return step
-    if isinstance(formula, And):
-        for part in formula.parts:
-            if not checker.holds(part, history, env):
-                step = ExplainStep(
-                    kind="and", formula=formula.describe(),
-                    note=f"∧ fails on conjunct: {part.describe()}")
-                step.children.append(_explain_temporal(
-                    computation, part, history, env, checker, visited, cap))
-                return step
-    if formula.is_temporal():
-        return ExplainStep(kind="temporal", formula=formula.describe(),
-                           note=f"fails: {formula.describe()}",
-                           history=_hist(history))
-    return _explain_immediate(formula, history, env)
+    found = descend(computation, restriction, history_cap)
+    return None if found is None else ExplanationTrace.of(restriction, found)

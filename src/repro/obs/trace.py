@@ -170,6 +170,14 @@ class Tracer:
     def add_explanation(self, record: Mapping[str, Any]) -> None:
         self.explanations.append(dict(record))
 
+    def explain(self, restriction: Any, found: Any) -> None:
+        """Add the explanation of a failing descent
+        (:func:`repro.core.witness.descend`) of ``restriction``."""
+        from .explain import ExplanationTrace  # lazy: explain imports core
+
+        self.add_explanation(
+            ExplanationTrace.of(restriction, found).to_record())
+
     def span(self, name: str,
              attrs: Optional[Mapping[str, Any]] = None,
              meta: Optional[Mapping[str, Any]] = None) -> _SpanContext:

@@ -33,6 +33,7 @@ from repro.core import (
     is_structure_event,
 )
 from repro.core.errors import ComputationError, SpecificationError
+from repro.obs import explain_restriction
 
 
 def diamond():
@@ -101,6 +102,27 @@ class TestWitness:
         w = find_witness(comp, r)
         assert w is not None
         assert e1.eid in w.history.events
+
+
+    def test_search_past_the_cap_localises_nothing(self):
+        # six independent Work events all enabling one Join: the 64
+        # histories without the Join come first in the □ search, so
+        # the failing (complete) history is its 65th visit
+        b = ComputationBuilder()
+        join = b.add_event("J", "Join")
+        for i in range(6):
+            b.add_enable(b.add_event(f"W{i}", "Work"), join)
+        comp = b.freeze()
+        r = Restriction("never-join",
+                        Henceforth(ForAll("j", "Join", Not(Occurred("j")))))
+        assert find_witness(comp, r, history_cap=64) is None
+        assert explain_restriction(comp, r, history_cap=64) is None
+        w = find_witness(comp, r, history_cap=65)
+        assert w is not None and w.history.is_complete()
+        assert w.bindings["j"].eid == join.eid
+        explanation = explain_restriction(comp, r, history_cap=65)
+        assert explanation is not None
+        assert explanation.witness.describe() == w.describe()
 
 
 class TestDot:

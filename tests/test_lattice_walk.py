@@ -14,8 +14,10 @@ replaced, verbatim.  On every catalog case and mutant:
   enumerate -- the down-closure of its first events, grown while the
   prefix has at most :data:`EXACT_MAX_VHS` sequences;
 * for every failing restriction, ``find_witness(...).describe()`` and
-  ``explain_restriction(...).to_record()`` are byte-identical to the
-  ones the reference lattice drives.
+  ``explain_restriction(...).to_record()`` / ``.render_text()`` are
+  byte-identical to the ones the reference lattice drives, and to the
+  two separate descents of ``tests/reference_witness.py`` that the one
+  descent of :mod:`repro.core.witness` replaced.
 
 The tier-1 run takes the first :data:`TIER1_RUNS` runs of each
 workload; the full sweep (every distinct computation within
@@ -33,7 +35,6 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.checker as checker_module
 import repro.core.witness as witness_module
-import repro.obs.explain as explain_module
 from repro.cli import case_catalog
 from repro.core.checker import LatticeChecker, check_restriction
 from repro.core.compose import restrict_events
@@ -63,6 +64,7 @@ from repro.sim.scheduler import explore
 from repro.verify.projection import project
 
 from tests import reference_lattice as ref
+from tests import reference_witness
 
 #: Runs per workload in the tier-1 run.
 TIER1_RUNS = 3
@@ -117,17 +119,23 @@ def use_reference_lattice(monkeypatch) -> None:
     """Route the witness and explanation searches through the
     frozenset lattice of ``tests/reference_lattice.py``."""
     monkeypatch.setattr(checker_module, "LatticeChecker", ref.LatticeChecker)
-    for module in (witness_module, explain_module):
-        for name in ("empty_history", "full_history",
-                     "_first_failing_history", "_path_avoiding"):
-            monkeypatch.setattr(module, name, getattr(ref, name))
+    for name in ("empty_history", "full_history",
+                 "_first_failing_history", "_path_avoiding"):
+        monkeypatch.setattr(witness_module, name, getattr(ref, name))
 
 
-def diagnostics(comp: Computation, restriction) -> Tuple[str, object]:
-    witness = find_witness(comp, restriction)
-    explanation = explain_restriction(comp, restriction)
+def diagnostics(comp: Computation, restriction, searches=None
+                ) -> Tuple[object, ...]:
+    """The witness's ``describe()`` and the explanation's record and
+    text, from the package's descent or the module ``searches`` (one
+    with ``find_witness`` and ``explain_restriction``)."""
+    witness = (searches.find_witness if searches else find_witness)(
+        comp, restriction)
+    explanation = (searches.explain_restriction if searches
+                   else explain_restriction)(comp, restriction)
     return (witness.describe() if witness is not None else None,
-            explanation.to_record() if explanation is not None else None)
+            explanation.to_record() if explanation is not None else None,
+            explanation.render_text() if explanation is not None else None)
 
 
 # -- the differential ---------------------------------------------------------
@@ -153,6 +161,8 @@ def assert_same_lattice(comp: Computation, spec, monkeypatch) -> None:
 
     failing = [r for r, ok in zip(restrictions, new) if not ok]
     mine = [diagnostics(comp, r) for r in failing]
+    assert mine == [diagnostics(comp, r, reference_witness)
+                    for r in failing]
     with monkeypatch.context() as patch:
         use_reference_lattice(patch)
         theirs = [diagnostics(comp, r) for r in failing]
@@ -290,10 +300,13 @@ class TestDiagnosticsAgainstReference:
     def test_witness_and_explanation_agree(self, comp):
         """Events are inserted in random element order, so position
         order and ``EventId`` order disagree; the witness and the
-        explanation must still be the reference lattice's."""
+        explanation must still be the reference lattice's, and the
+        reference descents'."""
         failing = [r for r in ORDER_SENSITIVE
                    if not LatticeChecker(comp).holds(r.formula)]
         mine = [diagnostics(comp, r) for r in failing]
+        assert mine == [diagnostics(comp, r, reference_witness)
+                        for r in failing]
         with pytest.MonkeyPatch.context() as patch:
             use_reference_lattice(patch)
             theirs = [diagnostics(comp, r) for r in failing]

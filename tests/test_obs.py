@@ -374,6 +374,65 @@ class TestForkBugExplanation:
         assert tracer.explanations[0]["restriction"] == "dep-edges-present"
 
 
+# -- one failure descent ---------------------------------------------------
+
+
+@pytest.fixture
+def lattice_searches(monkeypatch):
+    """Names of the witness module's □/◇ lattice searches, one entry per
+    call: a failure descent makes one per □/◇ it descends through."""
+    import repro.core.witness as witness_module
+
+    calls = []
+    for name in ("_first_failing_history", "_path_avoiding"):
+        search = getattr(witness_module, name)
+
+        def counted(*args, _search=search, _name=name):
+            calls.append(_name)
+            return _search(*args)
+
+        monkeypatch.setattr(witness_module, name, counted)
+    return calls
+
+
+class TestOneDescent:
+    """The witness and the explanation of a failure share one descent."""
+
+    @pytest.mark.parametrize("case, searches", [
+        ("monitor-one-slot-buffer", ["_first_failing_history"]),
+        ("ada-readers-writers", ["_first_failing_history"] * 2),
+        ("db_update", ["_path_avoiding"]),
+    ])
+    def test_traced_cli_witness_descends_once(self, case, searches,
+                                              lattice_searches, tmp_path,
+                                              capsys):
+        from repro.cli import main
+
+        assert main(["verify", case, "--mutant", "--witness", "--trace",
+                     str(tmp_path / "t.jsonl"), "--jobs", "1"]) == 0
+        assert "counterexample for" in capsys.readouterr().out
+        assert lattice_searches == searches
+
+    def test_checker_descends_once_for_witness_and_trace(
+            self, lattice_searches):
+        from repro.core import (ComputationBuilder, ForAll, Henceforth, Not,
+                                Occurred, Restriction, check_restriction)
+
+        b = ComputationBuilder()
+        work = b.add_event("W", "Work")
+        b.add_enable(work, b.add_event("J", "Join"))
+        never_join = Restriction(
+            "never-join", Henceforth(ForAll("j", "Join", Not(Occurred("j")))))
+        tracer = Tracer()
+        outcome = check_restriction(b.freeze(), never_join,
+                                    with_witness=True, tracer=tracer)
+        assert not outcome.holds
+        assert "witness: at history {J^1, W^1}" in outcome.detail
+        assert [e["restriction"] for e in tracer.explanations] == [
+            "never-join"]
+        assert lattice_searches == ["_first_failing_history"]
+
+
 # -- guarded progress hooks -----------------------------------------------
 
 
