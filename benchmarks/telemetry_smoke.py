@@ -7,7 +7,8 @@ telemetry stack end to end:
 * ``GET /healthz`` answers and ``GET /readyz`` reports the pool
   primed;
 * ``GET /metrics`` parses as Prometheus text and -- after a job --
-  carries the engine, cache, POR and slice counters;
+  carries every counter of the ``EngineStats`` table (engine, POR,
+  slice and DFA families) plus the cache gauges;
 * every completed job leaves exactly one row in the run-history
   database, and an identical rerun leaves a second one;
 * ``repro history regressions --tolerance 10x`` exits zero over those
@@ -31,7 +32,13 @@ import tempfile
 sys.path.insert(0, "src")
 
 from repro.cli import main as repro_main  # noqa: E402
-from repro.obs import RunHistory, parse_prometheus, run_top  # noqa: E402
+from repro.engine.stats import COUNTERS  # noqa: E402
+from repro.obs import (  # noqa: E402
+    RunHistory,
+    metric_name,
+    parse_prometheus,
+    run_top,
+)
 from repro.serve.client import ServeClient  # noqa: E402
 from repro.serve.daemon import start_in_thread  # noqa: E402
 
@@ -81,12 +88,14 @@ def main() -> int:
         assert scrape.value("repro_engine_cache_hits") \
             + scrape.value("repro_engine_dedupe_hits") > 0, (
             "warm rerun reported no cache/dedupe hits")
-        assert ("repro_checker_slice_hits", ()) in scrape.samples, (
-            "slice counters missing from /metrics")
+        missing = [metric_name(c.metric) for c in COUNTERS
+                   if (metric_name(c.metric), ()) not in scrape.samples]
+        assert not missing, f"engine counters missing from /metrics: {missing}"
         assert ("repro_serve_cache_entries", ()) in scrape.samples, (
             "cache gauges missing from /metrics")
         print(f"telemetry-smoke: /metrics parses "
-              f"({len(scrape)} sample(s), "
+              f"({len(scrape)} sample(s), {len(COUNTERS)} engine "
+              f"counter(s), "
               f"{int(scrape.value('repro_engine_runs'))} engine run(s))")
 
         assert run_top(port=handle.port, once=True, out=io.StringIO()) == 0

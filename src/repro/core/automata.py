@@ -549,6 +549,13 @@ class AutomatonMonitor:
     def root(self) -> _MonitorNode:
         return _MonitorNode(tuple(range(len(self._watch))), ())
 
+    def counts(self) -> Dict[str, int]:
+        """The tallies under their :class:`~repro.engine.EngineStats`
+        metric names."""
+        return {"dfa.probes": self.probes, "dfa.cuts": self.cuts,
+                "dfa.accepts": self.accepts,
+                "dfa.probe_errors": self.probe_errors}
+
     def _fresh_significant(self, state, node: _MonitorNode):
         """``(raw_count, fresh)``: did a *letter* arrive since this
         path last looked?

@@ -47,6 +47,14 @@ class CycleError(ComputationError):
         self.cycle: List[object] = list(cycle or [])
 
 
+class HistoryCapExceeded(ComputationError):
+    """A history-lattice walk visited more than its ``history_cap``.
+
+    Not a verdict: the check gave up.  Witness searches catch it and
+    report nothing located; everything else lets it propagate.
+    """
+
+
 class LegalityViolation(GemError):
     """A computation violates one of GEM's implicit legality restrictions.
 

@@ -47,7 +47,7 @@ from typing import (
 )
 
 from .computation import Computation
-from .errors import ComputationError
+from .errors import ComputationError, HistoryCapExceeded
 from .ids import EventId
 from .order import iter_bits
 
@@ -279,7 +279,7 @@ class LatticeWalk:
     def bump(self) -> None:
         self.visited += 1
         if self.visited > self._cap:
-            raise ComputationError(
+            raise HistoryCapExceeded(
                 f"{self._who} visited more than {self._cap} "
                 "(formula, history) pairs; raise history_cap or shrink the "
                 "computation (under temporal_mode=\"auto\" regular "

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .computation import Computation
+from .errors import HistoryCapExceeded
 from .event import Event
 from .formula import (
     And,
@@ -112,7 +113,8 @@ def descend(
 
     Returns None when the restriction holds, or when a lattice search
     gives up at ``history_cap`` visits (counted across all of the
-    descent's □/◇ searches) and so cannot localise the failure.
+    descent's □/◇ searches, and separately by the shared checker's own
+    walk) and so cannot localise the failure.
     """
     from .checker import LatticeChecker  # lazy: keeps layering one-way
 
@@ -207,9 +209,12 @@ def descend(
     formula = restriction.formula
     start = (empty_history(computation) if formula.is_temporal()
              else full_history(computation))
-    if checker.holds(formula, start):
-        return None
-    return walk(formula, start, {}, [])
+    try:
+        if checker.holds(formula, start):
+            return None
+        return walk(formula, start, {}, [])
+    except HistoryCapExceeded:
+        return None  # the shared checker's own walk ran past the cap
 
 
 def find_witness(

@@ -71,11 +71,11 @@ from .por import (
 from .pool import (
     CaseRef,
     JobCancelled,
-    RunRecord,
     Task,
     TaskResult,
     WorkerPool,
     WorkerState,
+    check_runs,
     effective_jobs,
     fork_available,
     run_tasks,
@@ -221,10 +221,7 @@ class Engine:
             shards = make_shards(program, target, cfg.max_steps,
                                  por=plan_selector)
         if plan_selector is not None:
-            stats.por_nodes += plan_selector.nodes
-            stats.por_reduced_nodes += plan_selector.reduced_nodes
-            stats.por_pruned += plan_selector.pruned
-            stats.por_proviso_expansions += plan_selector.proviso_expansions
+            stats.add_counts(plan_selector.counts())
         stats.shards = len(shards)
         stats.jobs = effective_jobs(cfg.jobs, len(shards))
 
@@ -284,19 +281,7 @@ class Engine:
         lookup: Dict[str, CheckOutcome] = dict(cache_snapshot)
         for tr in results:
             lookup.update(tr.fresh_outcomes)
-            stats.checks_performed += tr.checks
-            stats.cache_hits += tr.cache_hits
-            stats.dedupe_hits += tr.dedupe_hits
-            stats.por_nodes += tr.por_nodes
-            stats.por_reduced_nodes += tr.por_reduced_nodes
-            stats.por_pruned += tr.por_pruned
-            stats.por_proviso_expansions += tr.por_proviso_expansions
-            stats.slice_hits += tr.slice_hits
-            stats.slice_fallbacks += tr.slice_fallbacks
-            stats.dfa_probes += tr.dfa_probes
-            stats.dfa_cuts += tr.dfa_cuts
-            stats.dfa_accepts += tr.dfa_accepts
-            stats.dfa_hits += tr.dfa_hits
+            stats.add_counts(tr.counts)
 
         fingerprints = set()
         index = 0
@@ -385,8 +370,12 @@ class Engine:
                 stats.jobs = 1
                 with PhaseTimer(stats, "explore+check", self._progress,
                                 tracer):
-                    results = self._check_reused(exploration, state,
-                                                 stats.metrics, tracer)
+                    # in-process, straight into this registry, and
+                    # without a "task" span
+                    reused = TaskResult()
+                    check_runs(state, exploration.runs, reused, tracer,
+                               stats.metrics)
+                    results = [reused]
                 exhaustive = exploration.exhaustive
             else:
                 results, exhaustive = self._gather(program, state, stats)
@@ -397,13 +386,10 @@ class Engine:
                                      exhaustive, snapshot, stats)
 
             if exploration is not None:
-                # slice provenance rides on the exploration the caller
+                # checking provenance rides on the exploration the caller
                 # holds, so its describe() can say which temporal
                 # verdicts were decided exactly on the slice
-                exploration.record_slice(stats.slice_hits,
-                                         stats.slice_fallbacks)
-                exploration.record_dfa(stats.dfa_cuts, stats.dfa_accepts,
-                                       stats.dfa_inert)
+                exploration.record_checks(stats)
 
             if cache is not None:
                 with PhaseTimer(stats, "cache-save", self._progress, tracer):
@@ -415,53 +401,6 @@ class Engine:
         self.last_stats = stats
         report.engine_stats = stats
         return report
-
-    @staticmethod
-    def _check_reused(
-        exploration: ExplorationResult,
-        state: WorkerState,
-        metrics: Optional[object] = None,
-        tracer: Optional[object] = None,
-    ) -> List[TaskResult]:
-        """Dedupe-and-check runs the caller already holds, in-process."""
-        tracer = tracer or NULL_TRACER
-        result = TaskResult()
-        index = state.index
-        seen_fps: set = set()
-        for run in exploration.runs:
-            fp = run_fingerprint(run)
-            if tracer.enabled and fp not in seen_fps:
-                seen_fps.add(fp)
-                computed_before = index.computed
-                with tracer.span("check", attrs={"fp": fp[:12]}) as span:
-                    index.outcome_for(
-                        fp,
-                        lambda run=run: state.compute_outcome(
-                            run, metrics=metrics))
-                    span.set_meta(fresh=index.computed > computed_before)
-            else:
-                index.outcome_for(
-                    fp,
-                    lambda run=run: state.compute_outcome(
-                        run, metrics=metrics))
-            result.records.append(RunRecord(
-                choices=run.choices,
-                fingerprint=fp,
-                deadlocked=run.deadlocked,
-                truncated=run.truncated,
-                events=len(run.computation),
-            ))
-        result.fresh_outcomes = dict(index.fresh)
-        result.dedupe_hits = index.dedupe_hits
-        result.cache_hits = index.cache_hits
-        result.checks = index.computed
-        result.slice_hits = sum(
-            o.slice_hits for o in result.fresh_outcomes.values())
-        result.slice_fallbacks = sum(
-            o.slice_fallbacks for o in result.fresh_outcomes.values())
-        result.dfa_hits = sum(
-            o.dfa_hits for o in result.fresh_outcomes.values())
-        return [result]
 
 
 def run_verification(

@@ -62,7 +62,9 @@ from ..verify.correspondence import Correspondence
 #: Bump to invalidate every existing cache file (semantic change in
 #: what an outcome record means or how keys are derived).
 #: v2: outcomes carry slice provenance counters.
-#: v3: keys drop the temporal mode (the engine has one checking route).
+#: v3: keys drop the temporal mode (the engine has one checking route);
+#: outcomes have since dropped the provenance counters (v3 files that
+#: carry them still load).
 CACHE_FORMAT_VERSION = 3
 
 
@@ -74,33 +76,23 @@ class CheckOutcome:
     restrictions failed, whether the projection was legal, and whether
     the raw computation satisfied the program specification.  Run-level
     facts (deadlock, truncation) are properties of the *run*, not the
-    computation, and are deliberately not cached.  ``slice_hits`` /
-    ``slice_fallbacks`` record how many temporal restrictions the
-    computation-slicing path decided exactly vs handed back to the walk
-    -- provenance, also a pure function of the same inputs.
-    ``dfa_hits`` is the automaton route's analogue (restrictions
-    resolved by a DFA -- early or at the full history); tolerated as
-    absent in older cache files since it is provenance, not semantics.
-    How many restrictions are DFA-inert is a fact of the specification's
-    plan, not of a computation, so it is not cached (older files that
-    carry a ``dfa_inert`` key still load).
+    computation, and are deliberately not cached.  Which route decided
+    each restriction is counted by the run that computed the outcome
+    (``checker.*`` in :class:`repro.engine.EngineStats`) and is not
+    cached either: files that carry the retired ``slice_hits`` /
+    ``slice_fb`` / ``dfa_hits`` / ``dfa_inert`` keys still load, with
+    those keys ignored.
     """
 
     failed_restrictions: Tuple[str, ...] = ()
     legality_ok: bool = True
     program_spec_ok: bool = True
-    slice_hits: int = 0
-    slice_fallbacks: int = 0
-    dfa_hits: int = 0
 
     def to_json(self) -> dict:
         return {
             "failed": list(self.failed_restrictions),
             "legal": self.legality_ok,
             "prog_ok": self.program_spec_ok,
-            "slice_hits": self.slice_hits,
-            "slice_fb": self.slice_fallbacks,
-            "dfa_hits": self.dfa_hits,
         }
 
     @staticmethod
@@ -109,9 +101,6 @@ class CheckOutcome:
             failed_restrictions=tuple(data["failed"]),
             legality_ok=bool(data["legal"]),
             program_spec_ok=bool(data["prog_ok"]),
-            slice_hits=int(data.get("slice_hits", 0)),
-            slice_fallbacks=int(data.get("slice_fb", 0)),
-            dfa_hits=int(data.get("dfa_hits", 0)),
         )
 
 

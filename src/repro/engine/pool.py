@@ -42,12 +42,15 @@ interleavings collapse to it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import multiprocessing
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.checker import DEFAULT_HISTORY_CAP
+from ..core.checker import DEFAULT_HISTORY_CAP, CheckResult
 from ..core.errors import RunCapExceeded, VerificationError
 from ..core.plan import plan_for
 from ..core.specification import Specification
@@ -100,28 +103,11 @@ class TaskResult:
     records: List[RunRecord] = field(default_factory=list)
     #: outcomes computed fresh during *this* task (cache write-back set)
     fresh_outcomes: Dict[str, CheckOutcome] = field(default_factory=dict)
-    dedupe_hits: int = 0
-    cache_hits: int = 0
-    checks: int = 0
-    #: partial-order reduction counters for this task's subtree (see
-    #: :class:`repro.engine.por.AmpleSelector`); all zero with POR off
-    por_nodes: int = 0
-    por_reduced_nodes: int = 0
-    por_pruned: int = 0
-    por_proviso_expansions: int = 0
-    #: slice-routing counters summed over this task's *fresh* outcomes
-    #: (cached outcomes keep the provenance of the run that computed
-    #: them)
-    slice_hits: int = 0
-    slice_fallbacks: int = 0
-    #: automaton-monitor counters for this task's exploration (guard
-    #: probes, rejecting/accepting sinks reached) plus the DFA hits
-    #: summed over fresh outcomes; the monitor counters are zero with
-    #: --no-dfa
-    dfa_probes: int = 0
-    dfa_cuts: int = 0
-    dfa_accepts: int = 0
-    dfa_hits: int = 0
+    #: this task's engine counters under their metric names (the
+    #: ``task`` rows of :data:`repro.engine.stats.COUNTERS`): dedupe and
+    #: cache provenance, the routes of its fresh checks, and its POR
+    #: selector's and automaton monitor's tallies
+    counts: Counter = field(default_factory=Counter)
     #: serialised trace segment (``Tracer.to_records``), empty unless
     #: the worker state asked for tracing; grafted by the parent in
     #: shard order so the merged trace is deterministic
@@ -261,21 +247,19 @@ class WorkerState:
             plan, self.problem_spec, correspondence=self.correspondence,
             history_cap=self.history_cap)
 
-    def compute_outcome(self, run: Run,
+    def compute_outcome(self, run: Run, counts: Counter,
                         metrics: Optional[MetricsRegistry] = None
                         ) -> CheckOutcome:
-        """Check one computation; pure function of (computation, specs)."""
+        """Check one computation; pure function of (computation, specs).
+
+        The route each restriction took is counted into ``counts``."""
         comp = run.computation
         program_spec_ok = True
-        slice_hits = slice_fallbacks = 0
-        dfa_hits = 0
         if self.program_spec is not None:
             pres = self.program_spec.check(
                 comp, history_cap=self.history_cap, metrics=metrics)
             program_spec_ok = pres.ok
-            slice_hits += pres.slice_hits
-            slice_fallbacks += pres.slice_fallbacks
-            dfa_hits += pres.dfa_hits
+            _count_routes(counts, pres)
         projected = project(comp, self.correspondence)
         # monitor verdicts were decided on projected prefixes of this
         # run, so they apply to the problem-spec check only
@@ -283,14 +267,65 @@ class WorkerState:
         result = self.problem_spec.check(
             projected, history_cap=self.history_cap, decided=decided,
             metrics=metrics)
+        _count_routes(counts, result)
         return CheckOutcome(
             failed_restrictions=tuple(result.failed_restrictions()),
             legality_ok=not result.legality_violations,
             program_spec_ok=program_spec_ok,
-            slice_hits=slice_hits + result.slice_hits,
-            slice_fallbacks=slice_fallbacks + result.slice_fallbacks,
-            dfa_hits=dfa_hits + result.dfa_hits,
         )
+
+
+def _count_routes(counts: Counter, result: CheckResult) -> None:
+    counts["checker.slice_hits"] += result.slice_hits
+    counts["checker.slice_fallbacks"] += result.slice_fallbacks
+    counts["checker.dfa_hits"] += result.dfa_hits
+
+
+def check_runs(state: WorkerState, runs: Iterable[Run], result: TaskResult,
+               tracer: Tracer = NULL_TRACER,
+               metrics: Optional[MetricsRegistry] = None) -> None:
+    """Dedupe-and-check ``runs`` against ``state``, recording each into
+    ``result``: the one per-run path of pool tasks and of the engine's
+    reused explorations.
+
+    With a tracer, the first check of each fingerprint within this call
+    is a ``check`` span: that is a deterministic property of the run
+    order, unlike freshness (which depends on what else ran in this
+    process), so spans are jobs-invariant while the fresh / cached
+    distinction stays in non-structural meta.  The dedupe counters and
+    fresh outcomes are recorded even when ``runs`` raises part-way.
+    """
+    index = state.index
+    counts = result.counts
+    fresh_before = len(index.fresh)
+    dd0, ch0, cp0 = index.dedupe_hits, index.cache_hits, index.computed
+    seen_fps: set = set()
+    try:
+        for run in runs:
+            fp = run_fingerprint(run)
+            compute = functools.partial(state.compute_outcome, run, counts,
+                                        metrics=metrics)
+            if tracer.enabled and fp not in seen_fps:
+                seen_fps.add(fp)
+                computed_before = index.computed
+                with tracer.span("check", attrs={"fp": fp[:12]}) as span:
+                    index.outcome_for(fp, compute)
+                    span.set_meta(fresh=index.computed > computed_before)
+            else:
+                index.outcome_for(fp, compute)
+            result.records.append(RunRecord(
+                choices=run.choices,
+                fingerprint=fp,
+                deadlocked=run.deadlocked,
+                truncated=run.truncated,
+                events=len(run.computation),
+            ))
+    finally:
+        result.fresh_outcomes.update(
+            itertools.islice(index.fresh.items(), fresh_before, None))
+        counts["engine.dedupe_hits"] += index.dedupe_hits - dd0
+        counts["engine.cache_hits"] += index.cache_hits - ch0
+        counts["engine.checks_performed"] += index.computed - cp0
 
 
 #: Set by the ephemeral pool in the parent just before it forks.
@@ -301,40 +336,10 @@ _RESIDENT_STATES: Dict[str, WorkerState] = {}
 
 
 def _execute_with(state: WorkerState, task: Task) -> TaskResult:
-    index = state.index
-    fresh_before = set(index.fresh)
-    dd0, ch0, cp0 = index.dedupe_hits, index.cache_hits, index.computed
     result = TaskResult()
     tracing = state.trace
     tracer = Tracer() if tracing else NULL_TRACER
     metrics = MetricsRegistry() if tracing else None
-    # fingerprints already span-recorded within *this* task: the first
-    # occurrence per task is a deterministic property of the run order,
-    # unlike freshness (which depends on what other tasks ran in this
-    # process), so "check" spans are jobs-invariant while the fresh /
-    # cached distinction stays in non-structural meta
-    seen_fps: set = set()
-
-    def consume(run: Run) -> None:
-        fp = run_fingerprint(run)
-        if tracing and fp not in seen_fps:
-            seen_fps.add(fp)
-            computed_before = index.computed
-            with tracer.span("check", attrs={"fp": fp[:12]}) as span:
-                index.outcome_for(
-                    fp, lambda: state.compute_outcome(run, metrics=metrics))
-                span.set_meta(fresh=index.computed > computed_before)
-        else:
-            index.outcome_for(
-                fp, lambda: state.compute_outcome(run, metrics=metrics))
-        result.records.append(RunRecord(
-            choices=run.choices,
-            fingerprint=fp,
-            deadlocked=run.deadlocked,
-            truncated=run.truncated,
-            events=len(run.computation),
-        ))
-
     selector = make_selector(state.por) if task.kind == "explore" else None
     monitor = state.make_monitor() if task.kind == "explore" else None
     with tracer.span(
@@ -343,18 +348,18 @@ def _execute_with(state: WorkerState, task: Task) -> TaskResult:
                    "prefix": ",".join(map(str, task.prefix)),
                    "seed": task.seed},
             meta={"worker": multiprocessing.current_process().name}):
+        if task.kind == "explore":
+            runs: Iterable[Run] = explore(
+                state.program, max_steps=state.max_steps,
+                max_runs=state.max_runs, prefix=task.prefix, por=selector,
+                dfa=monitor)
+        elif task.kind == "sample":
+            runs = (run_random(state.program, task.seed,
+                               max_steps=state.max_steps),)
+        else:  # pragma: no cover - engine never builds other kinds
+            raise ValueError(f"unknown task kind {task.kind!r}")
         try:
-            if task.kind == "explore":
-                for run in explore(state.program, max_steps=state.max_steps,
-                                   max_runs=state.max_runs,
-                                   prefix=task.prefix, por=selector,
-                                   dfa=monitor):
-                    consume(run)
-            elif task.kind == "sample":
-                consume(run_random(state.program, task.seed,
-                                   max_steps=state.max_steps))
-            else:  # pragma: no cover - engine never builds other kinds
-                raise ValueError(f"unknown task kind {task.kind!r}")
+            check_runs(state, runs, result, tracer, metrics)
         except RunCapExceeded:
             # runs are discarded (the sampling fallback replaces them), but
             # verdicts already computed are valid and stay reported: later
@@ -362,28 +367,9 @@ def _execute_with(state: WorkerState, task: Task) -> TaskResult:
             # the parent must learn them here or its merge lookup goes blind
             result.cap_exceeded = True
             result.records = []
-
-    result.fresh_outcomes = {
-        fp: index.fresh[fp] for fp in set(index.fresh) - fresh_before
-    }
-    result.dedupe_hits = index.dedupe_hits - dd0
-    result.cache_hits = index.cache_hits - ch0
-    result.checks = index.computed - cp0
-    result.slice_hits = sum(
-        o.slice_hits for o in result.fresh_outcomes.values())
-    result.slice_fallbacks = sum(
-        o.slice_fallbacks for o in result.fresh_outcomes.values())
-    result.dfa_hits = sum(
-        o.dfa_hits for o in result.fresh_outcomes.values())
-    if selector is not None:
-        result.por_nodes = selector.nodes
-        result.por_reduced_nodes = selector.reduced_nodes
-        result.por_pruned = selector.pruned
-        result.por_proviso_expansions = selector.proviso_expansions
-    if monitor is not None:
-        result.dfa_probes = monitor.probes
-        result.dfa_cuts = monitor.cuts
-        result.dfa_accepts = monitor.accepts
+    for tallies in (selector, monitor):
+        if tallies is not None:
+            result.counts.update(tallies.counts())
     if tracing:
         result.spans = tracer.to_records()
         result.metrics = metrics.records() if metrics is not None else []

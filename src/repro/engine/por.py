@@ -102,6 +102,14 @@ class AmpleSelector:
         #: full expansions forced by the ignoring-prevention proviso
         self.proviso_expansions = 0
 
+    def counts(self) -> Dict[str, int]:
+        """The tallies under their :class:`~repro.engine.EngineStats`
+        metric names."""
+        return {"por.nodes": self.nodes,
+                "por.reduced_nodes": self.reduced_nodes,
+                "por.pruned_interleavings": self.pruned,
+                "por.proviso_expansions": self.proviso_expansions}
+
     # -- selection ---------------------------------------------------------
 
     def ample(self, state: SimState, actions: Sequence[Action],

@@ -9,7 +9,8 @@ how much the cache absorbed, and where the wall-clock time went.
 Since the ``repro.obs`` subsystem landed, :class:`EngineStats` is a
 **view over a** :class:`~repro.obs.metrics.MetricsRegistry` rather than
 a parallel bookkeeping path: every counter attribute reads and writes
-an ``engine.*`` metric, ``phase_seconds`` is derived from the
+one metric (the :data:`COUNTERS` table), ``phase_seconds`` is derived
+from the
 ``engine.phase_seconds`` counters, and the registry (``stats.metrics``)
 is what ``--trace`` exports -- so the stats block and the trace can
 never disagree.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 
@@ -64,21 +65,42 @@ def guard_progress(hook: Optional[ProgressFn]) -> Optional[ProgressFn]:
     return GuardedProgress(hook)
 
 
-def _counter(metric: str, doc: str) -> property:
-    def fget(self: "EngineStats") -> int:
-        return int(self.metrics.get(metric))
+class EngineCounter:
+    """An :class:`EngineStats` attribute that reads and writes one metric.
 
-    def fset(self: "EngineStats", value: int) -> None:
-        self.metrics.set(metric, value)
+    The metric is a gauge holding this verification's total.  ``task``
+    marks the counters a :class:`~repro.engine.pool.TaskResult` carries
+    in its ``counts`` (as the shard planner's selector does too): the
+    ones :meth:`EngineStats.add_counts` sums.
+    """
 
-    return property(fget, fset, doc=doc)
+    def __init__(self, metric: str, doc: str, task: bool = False) -> None:
+        self.metric = metric
+        self.task = task
+        self.attr = ""
+        self.__doc__ = doc
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.attr = name
+
+    def __get__(self, stats: Optional["EngineStats"], owner: Any = None):
+        if stats is None:
+            return self
+        return int(stats.metrics.get(self.metric))
+
+    def __set__(self, stats: "EngineStats", value: int) -> None:
+        stats.metrics.set(self.metric, value)
 
 
 class EngineStats:
     """Everything the engine observed about one verification.
 
-    A view: the numbers live in ``self.metrics`` (``engine.*``
-    counters); only ``mode`` is a plain attribute (it is a string).
+    A view: the numbers live in ``self.metrics``; only ``mode`` is a
+    plain attribute (it is a string).  The :class:`EngineCounter`
+    attributes below are the one counter table (:data:`COUNTERS`):
+    tasks carry them by metric name, and ``--stats``, the trace,
+    ``/metrics`` and the run-history snapshot all read them from here,
+    so adding a counter is one entry.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None,
@@ -88,59 +110,90 @@ class EngineStats:
         if not self.metrics.get("engine.jobs"):
             self.metrics.set("engine.jobs", 1)
 
-    jobs = _counter("engine.jobs", "worker processes that actually ran")
-    shards = _counter("engine.shards", "exploration shards")
-    runs = _counter("engine.runs", "total runs checked")
-    distinct_computations = _counter(
+    jobs = EngineCounter("engine.jobs", "worker processes that actually ran")
+    shards = EngineCounter("engine.shards", "exploration shards")
+    runs = EngineCounter("engine.runs", "total runs checked")
+    distinct_computations = EngineCounter(
         "engine.distinct_computations", "distinct partial orders")
-    checks_performed = _counter(
+    checks_performed = EngineCounter(
         "engine.checks_performed",
-        "distinct computations whose verdicts were computed fresh this run")
-    cache_hits = _counter(
+        "distinct computations whose verdicts were computed fresh this run",
+        task=True)
+    cache_hits = EngineCounter(
         "engine.cache_hits",
-        "distinct computations answered from the persistent cache")
-    dedupe_hits = _counter(
+        "distinct computations answered from the persistent cache",
+        task=True)
+    dedupe_hits = EngineCounter(
         "engine.dedupe_hits",
-        "run-level memo hits (duplicate interleavings folded away)")
+        "run-level memo hits (duplicate interleavings folded away)",
+        task=True)
     # partial-order reduction (repro.engine.por); the "por.*" namespace
     # rather than "engine.*" so traces group the reduction's own story
-    por_nodes = _counter(
-        "por.nodes", "branch points consulted by the ample selector")
-    por_reduced_nodes = _counter(
-        "por.reduced_nodes", "branch points where a strict subset expanded")
-    por_pruned = _counter(
+    por_nodes = EngineCounter(
+        "por.nodes", "branch points consulted by the ample selector",
+        task=True)
+    por_reduced_nodes = EngineCounter(
+        "por.reduced_nodes", "branch points where a strict subset expanded",
+        task=True)
+    por_pruned = EngineCounter(
         "por.pruned_interleavings",
         "enabled branches not expanded (each roots >= 1 pruned "
-        "interleaving)")
-    por_proviso_expansions = _counter(
+        "interleaving)", task=True)
+    por_proviso_expansions = EngineCounter(
         "por.proviso_expansions",
-        "full expansions forced by the ignoring-prevention proviso")
+        "full expansions forced by the ignoring-prevention proviso",
+        task=True)
     # computation slicing (repro.core.slice): per-restriction routing
     # tallies summed over the fresh checks of this verification
-    slice_hits = _counter(
+    slice_hits = EngineCounter(
         "checker.slice_hits",
-        "temporal restriction checks decided exactly on the slice")
-    slice_fallbacks = _counter(
+        "temporal restriction checks decided exactly on the slice",
+        task=True)
+    slice_fallbacks = EngineCounter(
         "checker.slice_fallbacks",
-        "temporal restriction checks that fell back to the lattice walk")
+        "temporal restriction checks that fell back to the lattice walk",
+        task=True)
     # restriction automata (repro.core.automata): exploration-time
     # monitor activity plus checker-side DFA routing
-    dfa_probes = _counter(
+    dfa_probes = EngineCounter(
         "dfa.probes",
-        "guard probes the automaton monitor evaluated at branch points")
-    dfa_cuts = _counter(
+        "guard probes the automaton monitor evaluated at branch points",
+        task=True)
+    dfa_cuts = EngineCounter(
         "dfa.cuts",
         "branches cut early: a restriction hit its rejecting sink on a "
-        "proper prefix")
-    dfa_accepts = _counter(
+        "proper prefix", task=True)
+    dfa_accepts = EngineCounter(
         "dfa.accepts",
-        "restrictions satisfied early on a proper prefix (accepting sink)")
-    dfa_hits = _counter(
+        "restrictions satisfied early on a proper prefix (accepting sink)",
+        task=True)
+    dfa_probe_errors = EngineCounter(
+        "dfa.probe_errors",
+        "monitor probes abandoned on an unexpected error (nothing is "
+        "decided early there; the run is checked in full)", task=True)
+    dfa_hits = EngineCounter(
         "checker.dfa_hits",
-        "restriction checks resolved by an automaton (leaf or early)")
-    dfa_inert = _counter(
+        "restriction checks resolved by an automaton (leaf or early)",
+        task=True)
+    dfa_inert = EngineCounter(
         "checker.dfa_inert",
         "restrictions whose shape compiled to no automaton (dfa-inert)")
+
+    def add_counts(self, counts: Mapping[str, int]) -> None:
+        """Sum a task's (or the shard planner's) counts in, by metric
+        name.  Every task counter is written, zeros included, so the
+        registry holds the same keys whichever routes ran."""
+        for metric in TASK_METRICS:
+            self.metrics.set(metric,
+                             self.metrics.get(metric) + counts.get(metric, 0))
+
+    def snapshot(self) -> Dict[str, Any]:
+        """``mode``, every counter under its attribute name, and
+        ``dedupe_ratio``: a daemon job's stats and its run-history row."""
+        out: Dict[str, Any] = {"mode": self.mode}
+        out.update((c.attr, getattr(self, c.attr)) for c in COUNTERS)
+        out["dedupe_ratio"] = round(self.dedupe_ratio, 4)
+        return out
 
     @property
     def cache_enabled(self) -> bool:
@@ -221,7 +274,10 @@ class EngineStats:
              f"{self.slice_fallbacks} walk-sampled fallback(s)"),
             ((f"  dfa: {self.dfa_cuts} branch(es) cut early, "
               f"{self.dfa_accepts} satisfied early "
-              f"({self.dfa_probes} probe(s)), ")
+              f"({self.dfa_probes} probe(s)"
+              + (f", {self.dfa_probe_errors} probe error(s)"
+                 if self.dfa_probe_errors else "")
+              + "), ")
              if self.dfa_enabled else "  dfa: monitor disabled, ")
             + (f"{self.dfa_hits} check(s) automaton-resolved, "
                f"{self.dfa_inert} restriction(s) dfa-inert"),
@@ -236,6 +292,14 @@ class EngineStats:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"EngineStats(mode={self.mode!r}, jobs={self.jobs}, "
                 f"runs={self.runs})")
+
+
+#: The one counter table, in report order.
+COUNTERS: Tuple[EngineCounter, ...] = tuple(
+    v for v in vars(EngineStats).values() if isinstance(v, EngineCounter))
+
+#: The metric names a task's ``counts`` may carry (``task=True`` rows).
+TASK_METRICS: Tuple[str, ...] = tuple(c.metric for c in COUNTERS if c.task)
 
 
 class PhaseTimer:

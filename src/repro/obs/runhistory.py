@@ -306,29 +306,9 @@ class RunHistory:
 
 
 def stats_snapshot(stats: Any) -> Dict[str, Any]:
-    """The history row's stats payload from an :class:`EngineStats`."""
-    if stats is None:
-        return {}
-    return {
-        "mode": stats.mode,
-        "jobs": stats.jobs,
-        "shards": stats.shards,
-        "runs": stats.runs,
-        "distinct_computations": stats.distinct_computations,
-        "dedupe_ratio": round(stats.dedupe_ratio, 4),
-        "checks_performed": stats.checks_performed,
-        "cache_hits": stats.cache_hits,
-        "dedupe_hits": stats.dedupe_hits,
-        "por_nodes": stats.por_nodes,
-        "por_pruned": stats.por_pruned,
-        "slice_hits": stats.slice_hits,
-        "slice_fallbacks": stats.slice_fallbacks,
-        "dfa_probes": stats.dfa_probes,
-        "dfa_cuts": stats.dfa_cuts,
-        "dfa_accepts": stats.dfa_accepts,
-        "dfa_hits": stats.dfa_hits,
-        "dfa_inert": stats.dfa_inert,
-    }
+    """The history row's stats payload from an :class:`EngineStats`
+    (:meth:`~repro.engine.EngineStats.snapshot`; empty without one)."""
+    return {} if stats is None else stats.snapshot()
 
 
 def record_report(history: "RunHistory", *, source: str, case: str,

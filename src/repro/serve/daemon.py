@@ -264,33 +264,16 @@ class VerificationService:
             self.metrics.merge_records(stats.metrics.records())
         wall_s = job.wall_s or 0.0
         signature = signature_json(report.signature())
+        snapshot = stats_snapshot(stats)
         self._record_history(job, ok=report.ok, mode=stats.mode,
                              signature=signature, wall_s=wall_s,
-                             stats=stats_snapshot(stats))
+                             stats=snapshot)
         job.transition(JobState.DONE, result={
             "ok": report.ok,
             "signature": signature,
             "summary": report.summary(),
             "wall_s": wall_s,
-            "stats": {
-                "mode": stats.mode,
-                "jobs": stats.jobs,
-                "shards": stats.shards,
-                "runs": stats.runs,
-                "distinct_computations": stats.distinct_computations,
-                "checks_performed": stats.checks_performed,
-                "cache_hits": stats.cache_hits,
-                "dedupe_hits": stats.dedupe_hits,
-                "por_nodes": stats.por_nodes,
-                "por_pruned": stats.por_pruned,
-                "slice_hits": stats.slice_hits,
-                "slice_fallbacks": stats.slice_fallbacks,
-                "dfa_probes": stats.dfa_probes,
-                "dfa_cuts": stats.dfa_cuts,
-                "dfa_accepts": stats.dfa_accepts,
-                "dfa_hits": stats.dfa_hits,
-                "dfa_inert": stats.dfa_inert,
-            },
+            "stats": snapshot,
         })
 
     # -- introspection ------------------------------------------------------

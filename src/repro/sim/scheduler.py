@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import RunCapExceeded, VerificationError
 from .runtime import Action, Program, Run, SimState, advance_postponed
@@ -241,7 +241,7 @@ class ExplorationResult:
     ``slice_hits`` / ``slice_fallbacks`` record, once a verification
     has consumed these runs, how many temporal restriction checks were
     decided exactly on the computation slice versus walked over the
-    history lattice (:meth:`record_slice`, filled in by
+    history lattice (:meth:`record_checks`, filled in by
     :meth:`repro.engine.Engine.verify`).  Slice-exact verdicts stay
     exact even when the *run census* is sampled -- provenance worth
     surfacing separately from the sampled/exhaustive mode.
@@ -257,7 +257,7 @@ class ExplorationResult:
     #: restriction verdicts decided early by the automaton monitor
     #: during this exploration (rejecting sinks = branches whose checks
     #: were cut, accepting sinks = satisfied-early) and how many
-    #: temporal restrictions were DFA-inert (:meth:`record_dfa`)
+    #: temporal restrictions were DFA-inert (:meth:`record_checks`)
     dfa_cuts: int = 0
     dfa_accepts: int = 0
     dfa_inert: int = 0
@@ -315,19 +315,14 @@ class ExplorationResult:
             f"{provenance}{pruned}{sliced}{dfa})"
         )
 
-    def record_slice(self, hits: int, fallbacks: int) -> None:
-        """Annotate with the slice routing tallies of a verification
-        that consumed these runs (provenance only; never affects
-        verdicts)."""
-        self.slice_hits = int(hits)
-        self.slice_fallbacks = int(fallbacks)
-
-    def record_dfa(self, cuts: int, accepts: int, inert: int) -> None:
-        """Annotate with the automaton monitor's tallies (provenance
-        only; never affects verdicts)."""
-        self.dfa_cuts = int(cuts)
-        self.dfa_accepts = int(accepts)
-        self.dfa_inert = int(inert)
+    def record_checks(self, stats: Any) -> None:
+        """Annotate with the checker-side tallies of the verification
+        (an :class:`repro.engine.EngineStats`) that consumed these runs
+        (provenance only; never affects verdicts).  The monitor's cuts
+        and accepts stay this exploration's own."""
+        self.slice_hits = stats.slice_hits
+        self.slice_fallbacks = stats.slice_fallbacks
+        self.dfa_inert = stats.dfa_inert
 
 
 def explore_or_sample(

@@ -37,6 +37,7 @@ from repro.core.automata import (
     REJECT,
     WATCH,
     AutomatonMonitor,
+    RestrictionAutomaton,
     _alphabet,
     _occ_guarded,
     _transfers,
@@ -507,6 +508,45 @@ class TestDeterminism:
         assert exploration.exhaustive
         assert exploration.dfa_cuts > 0
         assert "cut early by dfa" in exploration.describe()
+
+    def test_reused_exploration_keeps_its_monitor_tallies(self):
+        """A verification over held runs runs no monitor; it fills in
+        the checker-side tallies and leaves the exploration's cuts."""
+        spec, program = ring_spec(), RingProgram(workers=2, rounds=4)
+        exploration = explore_or_sample(program, dfa=ring_monitor(spec))
+        cuts = exploration.dfa_cuts
+        report = verify_program(program, spec, mark_correspondence(),
+                                exploration=exploration)
+        assert report.engine_stats.dfa_hits > 0 == report.engine_stats.dfa_cuts
+        assert exploration.dfa_cuts == cuts > 0
+        assert "cut early by dfa" in exploration.describe()
+
+
+class TestProbeErrors:
+    def test_a_raising_probe_is_counted_and_changes_no_verdict(
+            self, monkeypatch, tally_reports):
+        def planted(self, *args, **kwargs):
+            raise RuntimeError("planted probe failure")
+
+        monkeypatch.setattr(RestrictionAutomaton, "probe", planted)
+        program, spec, corr, pspec = _build_cases()[CASE](True)
+        report = verify_program(program, spec, corr, program_spec=pspec,
+                                jobs=1, dfa=True)
+        stats, clean = report.engine_stats, tally_reports[True].engine_stats
+        assert stats.dfa_probe_errors == stats.dfa_probes > 0
+        assert stats.dfa_cuts == 0 and clean.dfa_probe_errors == 0
+        assert stats.metrics.get("dfa.probe_errors") > 0
+        assert stats.snapshot()["dfa_probe_errors"] > 0
+        assert report.signature() == tally_reports[True].signature()
+        # --stats names the errors only when there are some
+        assert "probe error(s)" in stats.describe()
+        assert "probe error" not in clean.describe()
+
+    def test_monitor_counts_are_table_metrics(self):
+        from repro.engine.stats import TASK_METRICS
+
+        monitor = ring_monitor(ring_spec())
+        assert set(monitor.counts()) <= set(TASK_METRICS)
 
 
 class TestServeDeterminism:

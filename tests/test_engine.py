@@ -18,8 +18,10 @@ sys.path.insert(
 from benchmarks.bench_engine import WORKLOADS
 from repro.core import ComputationBuilder
 from repro.core.errors import RunCapExceeded, VerificationError
+from repro.cli import _build_cases
 from repro.engine import (
     CACHE_FORMAT_VERSION,
+    AmpleSelector,
     CheckOutcome,
     DedupeIndex,
     Engine,
@@ -28,6 +30,8 @@ from repro.engine import (
     make_shards,
     spec_cache_key,
 )
+from repro.engine.pool import Task, WorkerState, run_tasks
+from repro.engine.stats import TASK_METRICS
 from repro.core.specification import Specification
 from repro.sim import explore, explore_or_sample
 from repro.verify import Correspondence, verify_program
@@ -185,16 +189,19 @@ class TestResultCache:
         assert not again.get("fp1").legality_ok
 
     def test_records_with_a_dfa_inert_key_still_load(self, tmp_path):
-        """Outcomes once carried a ``dfa_inert`` count; files written
-        then load with the key ignored."""
+        """Outcomes once carried a ``dfa_inert`` count and the
+        ``slice_hits`` / ``slice_fb`` / ``dfa_hits`` route counts; files
+        written then load with those keys ignored."""
+        outcome = CheckOutcome(failed_restrictions=("r1",))
         cache = ResultCache(tmp_path, "k1")
-        cache.put("fp1", CheckOutcome(dfa_hits=1))
+        cache.put("fp1", outcome)
         cache.save()
         data = json.loads(cache.path.read_text())
-        data["outcomes"]["fp1"]["dfa_inert"] = 2
+        assert data["version"] == CACHE_FORMAT_VERSION == 3
+        data["outcomes"]["fp1"].update(
+            dfa_inert=2, slice_hits=3, slice_fb=1, dfa_hits=1)
         cache.path.write_text(json.dumps(data))
-        assert ResultCache(tmp_path, "k1").get("fp1") == CheckOutcome(
-            dfa_hits=1)
+        assert ResultCache(tmp_path, "k1").get("fp1") == outcome
 
     def test_version_mismatch_invalidates(self, tmp_path):
         cache = ResultCache(tmp_path, "k1")
@@ -482,6 +489,65 @@ class TestEnginePlumbing:
         text = engine.last_stats.describe()
         assert "engine:" in text and "runs/s" in text
         assert report.ok
+
+
+# -- one counter path -----------------------------------------------------
+
+#: the route and dedupe counters a reused exploration must match
+ROUTE_COUNTERS = ("checks_performed", "dedupe_hits", "slice_hits",
+                  "slice_fallbacks", "dfa_hits")
+
+
+def verify_one_slot(**kwargs):
+    program, spec, corr, pspec = _build_cases()["monitor-one-slot-buffer"](
+        False)
+    if kwargs.pop("reuse", False):
+        kwargs["exploration"] = explore_or_sample(program)
+    return verify_program(program, spec, corr, program_spec=pspec, jobs=1,
+                          **kwargs).engine_stats
+
+
+class TestCounterPath:
+    def test_reused_exploration_counts_like_a_fresh_one(self):
+        fresh = verify_one_slot(por=False, dfa=False)
+        reused = verify_one_slot(por=False, dfa=False, reuse=True)
+        assert reused.mode == "reused"
+        assert fresh.checks_performed > 0
+        assert fresh.slice_fallbacks + fresh.dfa_hits > 0
+        assert ([getattr(reused, n) for n in ROUTE_COUNTERS]
+                == [getattr(fresh, n) for n in ROUTE_COUNTERS])
+
+    def test_warm_cache_rerun_counts_no_routes(self, tmp_path):
+        cold = verify_one_slot(cache_dir=str(tmp_path))
+        warm = verify_one_slot(cache_dir=str(tmp_path))
+        assert cold.slice_fallbacks + cold.dfa_hits > 0
+        assert warm.cache_hits == cold.checks_performed > 0
+        assert [getattr(warm, n) for n in ROUTE_COUNTERS] == [0] * 5
+        (path,) = tmp_path.glob("gem-cache-*.json")
+        outcomes = json.loads(path.read_text())["outcomes"].values()
+        assert outcomes and all(
+            set(rec) == {"failed", "legal", "prog_ok"} for rec in outcomes)
+
+    def test_task_counts_are_table_metrics(self):
+        program, spec, corr, pspec = _build_cases()[
+            "monitor-one-slot-buffer"](False)
+        state = WorkerState(program, spec, corr, pspec, max_steps=10_000,
+                            max_runs=100_000)
+        (result,) = run_tasks(state, [Task("explore")], jobs=1)
+        assert set(result.counts) <= set(TASK_METRICS)
+        assert result.counts["por.nodes"] > 0
+        assert result.counts["engine.checks_performed"] == len(
+            result.fresh_outcomes) > 0
+        assert set(AmpleSelector().counts()) <= set(TASK_METRICS)
+
+    def test_every_task_counter_is_recorded_once_merged(self):
+        """Zeros included: the registry holds the same keys whichever
+        routes ran (POR and the monitor off count nothing here)."""
+        stats = verify_one_slot(por=False, dfa=False)
+        kinds = {r["name"]: r["kind"] for r in stats.metrics.records()}
+        assert stats.por_nodes == stats.dfa_probes == 0
+        for metric in TASK_METRICS:
+            assert kinds.get(metric) == "gauge", metric
 
 
 # -- shared cache (the serve daemon's cross-request store) ----------------

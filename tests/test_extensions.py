@@ -32,6 +32,7 @@ from repro.core import (
     history_lattice_to_dot,
     is_structure_event,
 )
+from repro.core.checker import check_restriction
 from repro.core.errors import ComputationError, SpecificationError
 from repro.obs import explain_restriction
 
@@ -104,7 +105,8 @@ class TestWitness:
         assert e1.eid in w.history.events
 
 
-    def test_search_past_the_cap_localises_nothing(self):
+    @staticmethod
+    def join_after_six_works():
         # six independent Work events all enabling one Join: the 64
         # histories without the Join come first in the □ search, so
         # the failing (complete) history is its 65th visit
@@ -115,14 +117,43 @@ class TestWitness:
         comp = b.freeze()
         r = Restriction("never-join",
                         Henceforth(ForAll("j", "Join", Not(Occurred("j")))))
-        assert find_witness(comp, r, history_cap=64) is None
-        assert explain_restriction(comp, r, history_cap=64) is None
+        return comp, r
+
+    def test_search_past_the_cap_localises_nothing(self):
+        comp, r = self.join_after_six_works()
+        (join,) = [e for e in comp.events if e.event_class == "Join"]
+        # caps below 64 stop the shared checker's own walk, not the BFS
+        for cap in (1, 2, 3, 5, 8, 64):
+            assert find_witness(comp, r, history_cap=cap) is None, cap
+            assert explain_restriction(comp, r, history_cap=cap) is None
         w = find_witness(comp, r, history_cap=65)
         assert w is not None and w.history.is_complete()
         assert w.bindings["j"].eid == join.eid
         explanation = explain_restriction(comp, r, history_cap=65)
         assert explanation is not None
         assert explanation.witness.describe() == w.describe()
+
+    def test_asking_for_a_witness_keeps_a_decided_verdict(self):
+        """The check decides the failure within the cap; a witness
+        search that cannot localise it leaves the verdict alone."""
+        comp, r = self.join_after_six_works()
+        plain = check_restriction(comp, r, history_cap=8)
+        with_witness = check_restriction(comp, r, history_cap=8,
+                                         with_witness=True)
+        assert str(plain) == "[FAIL] never-join (fails over the history " \
+            "lattice)"
+        assert with_witness == plain and "witness" not in str(with_witness)
+
+    def test_other_computation_errors_still_propagate(self, monkeypatch):
+        from repro.core.checker import LatticeChecker
+
+        def broken(self, formula, history=None, env=None):
+            raise ComputationError("not a cap overrun")
+
+        comp, r = self.join_after_six_works()
+        monkeypatch.setattr(LatticeChecker, "holds", broken)
+        with pytest.raises(ComputationError, match="not a cap overrun"):
+            find_witness(comp, r)
 
 
 class TestDot:

@@ -427,6 +427,18 @@ class TestServeTelemetry:
         assert row.source == "serve" and row.case == CASE
         assert row.flags["jobs"] == 2 and row.wall_s > 0
 
+    def test_job_stats_are_the_history_snapshot(self, daemon):
+        from repro.engine.stats import COUNTERS
+
+        _handle, client, db = daemon
+        snap = client.verify({"case": CASE})
+        assert snap["state"] == "done"
+        stats = snap["result"]["stats"]
+        (row,) = RunHistory(db).runs(limit=1)
+        assert row.stats == stats
+        assert set(stats) == ({c.attr for c in COUNTERS}
+                              | {"mode", "dedupe_ratio"})
+
     def test_jobs_listing_has_wall_times(self, daemon):
         _handle, client, _db = daemon
         client.verify({"case": CASE})
