@@ -4,11 +4,11 @@ This is the "tool" half of the paper's title: given a computation C and
 a specification σ, decide ``legal(C, σ)`` and report *why not* when the
 answer is no.
 
-Immediate restrictions are evaluated at the complete computation (its
-full history).  Temporal restrictions (containing □ or ◇) are
-interpreted over valid history sequences (Section 7).  Which kernel
-reaches the verdict is not part of the semantics: ``temporal_mode``
-takes one of four values, all deciding the same ``legal(C, σ)``.
+Immediate restrictions are evaluated once, by the interpreter, at the
+complete computation.  Temporal restrictions (containing □ or ◇) are
+interpreted over valid history sequences (Section 7), by a kernel
+that is not part of the semantics: ``temporal_mode`` takes one of
+four values, all deciding the same ``legal(C, σ)``.
 
 ``auto`` (default)
     The production route chain.  A temporal restriction is decided by
@@ -25,8 +25,7 @@ takes one of four values, all deciding the same ``legal(C, σ)``.
     5. the lattice interpreter, for restrictions the compiler cannot
        express (``PyPred``, unknown nodes).
 
-    Immediate restrictions take steps 4 and 5 only.  The outcome's
-    ``provenance`` records which of steps 1-3 decided it.
+    The outcome's ``provenance`` records which of steps 1-3 decided it.
 
     Which steps a restriction is offered is a static fact of its
     formula: :mod:`repro.core.plan` works out each restriction's route
@@ -36,10 +35,10 @@ takes one of four values, all deciding the same ``legal(C, σ)``.
     builds each backend the first time a route reaches it.
 
 ``compiled``
-    Steps 4 and 5 alone: each restriction is compiled into closures
-    over bitmask histories, with quantifier-domain pruning, constant
-    folding, guard hoisting and monotone latching, and falls back to
-    the interpreter when it cannot be compiled (the
+    Steps 4 and 5 alone: each temporal restriction is compiled into
+    closures over bitmask histories, with quantifier-domain pruning,
+    constant folding, guard hoisting and monotone latching, and falls
+    back to the interpreter when it cannot be compiled (the
     ``checker.fallbacks`` metric counts them).
 
 ``lattice``
@@ -300,7 +299,9 @@ def check_restriction(
     (``provenance="dfa"``), and to :class:`repro.core.slice.SliceChecker`
     (``provenance="slice"``, or ``"walk"`` when the slice declines);
     whatever is left takes the compiled walk with the interpreter as
-    fallback.  ``decided`` is ignored by the single-route modes.  Every
+    fallback.  An immediate restriction takes no route: it is one
+    interpreter evaluation at the complete computation, in every mode.
+    ``decided`` is ignored by the single-route modes.  Every
     route yields the same verdict and detail string -- failing verdicts
     re-derive witnesses and explanations through the interpreter via
     ``fail()`` -- and the route differential in the tests and the
@@ -312,7 +313,7 @@ def check_restriction(
 
     ``metrics`` (a :class:`repro.obs.MetricsRegistry`, duck-typed so
     this module needs no obs import) receives ``checker.evals`` /
-    ``checker.seconds`` per restriction (plus
+    ``checker.seconds`` per restriction (plus, for □/◇ restrictions,
     ``checker.compiled_evals`` / ``checker.fallbacks`` on the compiled
     route and the ``checker.dfa_*`` / ``checker.slice_*`` routing
     counters).  ``tracer`` (a :class:`repro.obs.Tracer`) wraps the
@@ -402,13 +403,11 @@ def check_restriction(
             evals[0] = cspec.walk.visited - visited_before
             count("checker.compiled_evals", max(evals[0], 1))
             return verdict(holds)
-        if route == "lattice" and temporal_mode != "lattice":
-            # PyPred or an unknown node: whole-restriction fallback to
-            # the reference interpreter
-            count("checker.fallbacks")
-        if not temporal:
-            return verdict(formula.holds_at(full_history(computation)))
         if route == "lattice":
+            if temporal_mode != "lattice":
+                # PyPred, an unknown node or an unbound variable:
+                # whole-restriction fallback to the reference interpreter
+                count("checker.fallbacks")
             checker = context.lattice
             visited_before = checker.visited
             holds = checker.holds(formula)
@@ -430,6 +429,8 @@ def check_restriction(
         temporal_mode, (temporal_mode,))
 
     def decide() -> RestrictionOutcome:
+        if not temporal:
+            return verdict(formula.holds_at(full_history(computation)))
         for route in routes:
             outcome = step(route)
             if outcome is not None:

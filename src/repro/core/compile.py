@@ -6,7 +6,8 @@ copies dict environments per quantifier binding, wraps each history
 mask in a :class:`~repro.core.history.History`, and re-enumerates
 quantifier domains through ``Domain.events``.  This module performs
 that work **once per (restriction, computation)**, the first time a
-check routes the restriction here, instead of once per evaluation:
+check routes the restriction here, instead of once per evaluation
+(only □/◇ restrictions come here; immediate ones are the interpreter's):
 
 * each ``Restriction`` becomes a pipeline of Python closures evaluated
   over **bitmask histories** (see :mod:`repro.core.evalcore`): a history
@@ -110,31 +111,24 @@ class _Node:
 
 
 class CompiledRestriction:
-    """One restriction bound to one computation, ready to evaluate."""
+    """One □/◇ restriction bound to one computation, ready to evaluate."""
 
-    __slots__ = ("restriction", "temporal", "_fn", "_nslots", "_spec")
+    __slots__ = ("restriction", "_fn", "_nslots")
 
-    def __init__(self, restriction: Restriction, temporal: bool,
-                 fn: Callable[[int, list], bool], nslots: int,
-                 spec: "CompiledSpec"):
+    def __init__(self, restriction: Restriction,
+                 fn: Callable[[int, list], bool], nslots: int):
         self.restriction = restriction
-        self.temporal = temporal
         self._fn = fn
         self._nslots = nslots
-        self._spec = spec
 
     def holds(self) -> bool:
-        """Evaluate: temporal restrictions start at the empty history
-        (AG/AF over the lattice), immediate ones at the complete one --
-        the same entry points the interpreter uses."""
-        env = [0] * self._nslots
-        if self.temporal:
-            return bool(self._fn(0, env))
-        return bool(self._fn(self._spec.index.full_mask, env))
+        """Evaluate at the empty history (AG/AF over the lattice), the
+        interpreter's entry point for a temporal restriction."""
+        return bool(self._fn(0, [0] * self._nslots))
 
 
 class CompiledSpec:
-    """Compiled restrictions over one computation, each compiled the
+    """Compiled □/◇ restrictions over one computation, each compiled the
     first time it is asked for.
 
     Shares one :class:`EventIndex` and one
@@ -146,7 +140,6 @@ class CompiledSpec:
     """
 
     def __init__(self, computation: Computation, history_cap: int) -> None:
-        self.computation = computation
         self.index: EventIndex = event_index(computation)
         self.walk = LatticeWalk(computation, history_cap, "compiled checker")
         self._compiled: Dict[str, Optional[CompiledRestriction]] = {}
@@ -161,8 +154,7 @@ class CompiledSpec:
                 compiler = _Compiler(self)
                 node = compiler.compile(restriction.formula)
                 compiled = CompiledRestriction(
-                    restriction, shape(restriction.formula).temporal,
-                    node.fn, max(compiler.nslots, 1), self)
+                    restriction, node.fn, max(compiler.nslots, 1))
             except _Uncompilable:
                 compiled = None
             self._compiled[name] = compiled

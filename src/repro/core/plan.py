@@ -188,8 +188,9 @@ class RestrictionPlan:
     * ``slice`` -- declines outside the sliceable fragment, which is
       decided per computation (a ∀ over an empty domain grounds even a
       ``PyPred`` body away);
-    * ``compiled`` -- declines only on an unbound variable;
-    * ``lattice`` -- the interpreter; always decides.
+    * ``compiled`` -- □/◇ only; declines only on an unbound variable;
+    * ``lattice`` -- the interpreter; always decides, and is the whole
+      route of an immediate restriction.
 
     ``walk`` is the route's compiled/interpreter tail, the whole route
     under ``temporal_mode="compiled"``.
@@ -203,7 +204,8 @@ class RestrictionPlan:
         self.restriction = restriction
         self.shape = shape(restriction.formula)
         self.walk: Tuple[str, ...] = (
-            ("lattice",) if self.shape.uncompiled else ("compiled", "lattice"))
+            ("lattice",) if self.shape.uncompiled or not self.shape.temporal
+            else ("compiled", "lattice"))
         self.automaton = None
         self.route = self.walk
         if self.shape.temporal:
@@ -312,8 +314,8 @@ class CheckContext:
     """One computation's backends, shared by a plan's routes.
 
     The slice (:class:`~repro.core.slice.SliceChecker`), the compiled
-    closures (:class:`~repro.core.compile.CompiledSpec`, each restriction
-    compiled on its first request) and the interpreter
+    closures (:class:`~repro.core.compile.CompiledSpec`, each □/◇
+    restriction compiled on its first request) and the interpreter
     (:class:`~repro.core.checker.LatticeChecker`) are each built the
     first time a route reaches them.
     """

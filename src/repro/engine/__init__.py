@@ -89,6 +89,9 @@ from .stats import (
     guard_progress,
 )
 
+#: Target shards per worker: more than one absorbs uneven subtree sizes.
+SHARD_FACTOR = 4
+
 __all__ = [
     "Engine", "EngineConfig", "EngineStats", "ProgressFn",
     "GuardedProgress", "guard_progress",
@@ -132,8 +135,6 @@ class EngineConfig:
     #: turns the monitor off (fingerprint sets, verdicts and witnesses
     #: are byte-identical either way)
     dfa: bool = True
-    #: target shards per worker; >1 absorbs uneven subtree sizes
-    shard_factor: int = 4
     progress: Optional[ProgressFn] = None
     #: a :class:`repro.obs.Tracer` to record spans into (None = no-op).
     #: With tracing on, the shard target is pinned to a jobs-invariant
@@ -210,9 +211,9 @@ class Engine:
                 # pinned, jobs-invariant: the shard plan (hence the task
                 # list, hence the span tree) must not depend on --jobs
                 # for traces to compare byte-for-byte across job counts
-                target = cfg.shard_factor * 4
+                target = SHARD_FACTOR * 4
             else:
-                target = cfg.jobs * cfg.shard_factor if cfg.jobs > 1 else 1
+                target = cfg.jobs * SHARD_FACTOR if cfg.jobs > 1 else 1
             # the planner's selector makes the plan partition the
             # *reduced* tree; its counters cover the branch points the
             # plan split through (workers count the rest, so the merged
@@ -370,11 +371,11 @@ class Engine:
                 stats.jobs = 1
                 with PhaseTimer(stats, "explore+check", self._progress,
                                 tracer):
-                    # in-process, straight into this registry, and
-                    # without a "task" span
+                    # in-process, without a "task" span; like a task,
+                    # the checker records metrics only when tracing
                     reused = TaskResult()
                     check_runs(state, exploration.runs, reused, tracer,
-                               stats.metrics)
+                               stats.metrics if tracer.enabled else None)
                     results = [reused]
                 exhaustive = exploration.exhaustive
             else:

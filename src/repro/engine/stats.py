@@ -256,6 +256,7 @@ class EngineStats:
 
     def describe(self) -> str:
         """Multi-line human-readable stats block (CLI ``--stats``)."""
+        reused = self.mode == "reused"  # no POR or monitor ran here
         lines = [
             f"engine: {self.mode}, {self.jobs} worker(s), "
             f"{self.shards} shard(s)",
@@ -266,18 +267,20 @@ class EngineStats:
             f"{self.cache_hits} from cache "
             f"(hit rate {self.cache_hit_rate:.0%})"
             + ("" if self.cache_enabled else " [cache disabled]"),
-            (f"  por: {self.por_pruned} branch(es) pruned at "
-             f"{self.por_reduced_nodes} of {self.por_nodes} branch "
-             f"point(s), {self.por_proviso_expansions} proviso "
-             "expansion(s)") if self.por_enabled else "  por: disabled",
+            "  por: not run on a reused exploration" if reused
+            else (f"  por: {self.por_pruned} branch(es) pruned at "
+                  f"{self.por_reduced_nodes} of {self.por_nodes} branch "
+                  f"point(s), {self.por_proviso_expansions} proviso "
+                  "expansion(s)") if self.por_enabled else "  por: disabled",
             (f"  slice: {self.slice_hits} check(s) slice-exact, "
              f"{self.slice_fallbacks} walk-sampled fallback(s)"),
-            ((f"  dfa: {self.dfa_cuts} branch(es) cut early, "
-              f"{self.dfa_accepts} satisfied early "
-              f"({self.dfa_probes} probe(s)"
-              + (f", {self.dfa_probe_errors} probe error(s)"
-                 if self.dfa_probe_errors else "")
-              + "), ")
+            ("  dfa: monitor not run on a reused exploration, " if reused
+             else (f"  dfa: {self.dfa_cuts} branch(es) cut early, "
+                   f"{self.dfa_accepts} satisfied early "
+                   f"({self.dfa_probes} probe(s)"
+                   + (f", {self.dfa_probe_errors} probe error(s)"
+                      if self.dfa_probe_errors else "")
+                   + "), ")
              if self.dfa_enabled else "  dfa: monitor disabled, ")
             + (f"{self.dfa_hits} check(s) automaton-resolved, "
                f"{self.dfa_inert} restriction(s) dfa-inert"),

@@ -518,8 +518,14 @@ class TestDeterminism:
         report = verify_program(program, spec, mark_correspondence(),
                                 exploration=exploration)
         assert report.engine_stats.dfa_hits > 0 == report.engine_stats.dfa_cuts
-        assert exploration.dfa_cuts == cuts > 0
+        assert exploration.dfa_cuts == cuts == 20
         assert "cut early by dfa" in exploration.describe()
+        # --stats reports no POR or monitor tallies: neither ran here
+        lines = report.engine_stats.describe().splitlines()
+        assert "  por: not run on a reused exploration" in lines
+        assert ("  dfa: monitor not run on a reused exploration, "
+                "70 check(s) automaton-resolved, 0 restriction(s) "
+                "dfa-inert") in lines
 
 
 class TestProbeErrors:

@@ -221,6 +221,31 @@ class TestFallbackAndMetrics:
         assert metrics.get("checker.fallbacks",
                            restriction="no-work") == 0.0
 
+    def test_immediate_restrictions_take_the_interpreter_in_every_mode(self):
+        """An immediate restriction is one evaluation at the complete
+        computation, whatever the mode: the compiler never sees it."""
+        from repro.obs import MetricsRegistry
+
+        comp = fork_join()
+        for restriction in (
+                Restriction("work-after-fork", ForAll(
+                    "w", "Work", Implies(Occurred("w"),
+                                         Exists("f", "Fork", Occurred("f"))))),
+                Restriction("no-work-at-all",
+                            ForAll("w", "Work", Not(Occurred("w"))))):
+            assert not shape(restriction.formula).uncompiled
+            metrics = MetricsRegistry()
+            outcomes = {(o.holds, o.detail) for o in (
+                check_restriction(comp, restriction, temporal_mode=mode,
+                                  metrics=metrics)
+                for mode in ("auto", "compiled", "lattice", "exact"))}
+            assert len(outcomes) == 1, outcomes
+            names = {r["name"] for r in metrics.records()
+                     if r["labels"].get("restriction") == restriction.name}
+            assert "checker.evals" in names
+            assert not {"checker.compiled_evals",
+                        "checker.fallbacks"} & names, names
+
     def test_history_cap_enforced(self):
         comp = fork_join()
         with pytest.raises(ComputationError):

@@ -516,6 +516,11 @@ class TestCounterPath:
         assert fresh.slice_fallbacks + fresh.dfa_hits > 0
         assert ([getattr(reused, n) for n in ROUTE_COUNTERS]
                 == [getattr(fresh, n) for n in ROUTE_COUNTERS])
+        # like a task, an untraced reuse gives the checker no registry,
+        # so it records no metric the fresh run lacks
+        names = [{r["name"] for r in stats.metrics.records()}
+                 for stats in (reused, fresh)]
+        assert names[0] - names[1] == set()
 
     def test_warm_cache_rerun_counts_no_routes(self, tmp_path):
         cold = verify_one_slot(cache_dir=str(tmp_path))

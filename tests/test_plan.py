@@ -88,6 +88,16 @@ class TestReference:
             seen += 1
         assert seen > 100
 
+    def test_immediate_restrictions_never_route_to_the_compiler(self):
+        immediate = 0
+        for label, spec, r in catalog_restrictions():
+            planned = plan_for(spec).restrictions[r.name]
+            if not planned.temporal:
+                assert "compiled" not in planned.route, (label, r.name)
+                assert planned.route == planned.walk == ("lattice",)
+                immediate += 1
+        assert immediate > 0
+
     def test_catalog_plans_are_shared(self):
         for _label, spec, _r in catalog_restrictions():
             assert plan_for(spec) is automata_plan_for(spec)
