@@ -89,28 +89,6 @@ def test_s1_lattice_safety_scaling(benchmark, chains, length):
     assert benchmark.pedantic(check, rounds=1, iterations=1)
 
 
-@pytest.mark.parametrize("chains,length", [(2, 10), (2, 20), (3, 10)])
-def test_s1_compiled_safety_scaling(benchmark, chains, length):
-    """The same safety check through the compiled bitmask checker
-    (repro.core.compile); see benchmarks/bench_compile.py for the full
-    compiled-vs-interpreted comparison and the committed baseline."""
-    from repro.core.checker import check_restriction
-    from repro.core.formula import Restriction
-
-    comp = build_workload(chains, length, cross_every=2)
-    formula = Henceforth(ForAll(
-        "x", "chain0.Step",
-        Implies(Occurred("x"), Exists("y", "chain0.Step", Occurred("y")))))
-    restriction = Restriction("s1-safety", formula)
-
-    def check():
-        return check_restriction(comp, restriction,
-                                 temporal_mode="compiled",
-                                 history_cap=5_000_000)
-
-    assert benchmark.pedantic(check, rounds=1, iterations=1).holds
-
-
 @pytest.mark.parametrize("chains,length", [(2, 8), (2, 12), (3, 8)])
 def test_s1_history_count_growth(benchmark, chains, length):
     """Down-set counts: the measured blow-up that motivates the lattice

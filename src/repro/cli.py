@@ -15,8 +15,8 @@ Commands:
   docs/ENGINE.md), ``--no-dfa`` disables the exploration-time
   restriction-automata monitor and never cuts doomed branches early
   (same verdicts either way; docs/PERF.md).  Every check takes the
-  checker's one ``auto`` route chain -- DFA leaf, slice, compiled
-  walk, interpreter -- so no flag selects a checking route;
+  checker's one ``auto`` route chain -- DFA leaf, slice,
+  interpreter -- so no flag selects a checking route;
 * ``list`` -- list the available cases (``--json`` adds language and
   mutant-availability metadata, the same body the serve daemon's
   ``GET /cases`` returns);
@@ -31,8 +31,8 @@ Commands:
 * ``profile <trace.jsonl>`` -- validate a written trace and print
   per-phase/per-span timings, top restrictions by evaluation cost, and
   worker utilisation (see docs/OBSERVABILITY.md);
-* ``bench`` -- compiled-vs-interpreted checker/engine benchmarks with a
-  JSON baseline and a speedup-ratio regression gate (``--json``
+* ``bench`` -- slice, serve, POR, DFA-monitor and consistency
+  benchmarks with a JSON baseline and a ratio regression gate (``--json``
   writes/gates against ``BENCH_checker.json``; see docs/PERF.md);
 * ``serve`` -- run the resident verification daemon (:mod:`repro.serve`:
   fork-once worker pool, shared result cache, JSON-over-HTTP API,
@@ -731,8 +731,8 @@ def main(argv=None) -> int:
                                 "valid header is always rejected)")
 
     p_bench = sub.add_parser(
-        "bench", help="compiled-checker benchmarks with a regression gate "
-                      "(docs/PERF.md)")
+        "bench", help="slice/serve/POR/DFA/objects benchmarks with a "
+                      "regression gate (docs/PERF.md)")
     p_bench.add_argument("--quick", action="store_true",
                          help="small workloads only, skip the engine bench "
                               "and the serve bench")

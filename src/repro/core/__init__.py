@@ -25,7 +25,6 @@ from .checker import (
     check_restriction,
     check_safety_at_all_histories,
 )
-from .compile import CompiledRestriction, CompiledSpec
 from .compose import parallel_compose, restrict_events, sequential_compose
 from .computation import Computation, ComputationBuilder
 from .evalcore import EventIndex, event_index, iter_bits
@@ -157,8 +156,8 @@ __all__ = [
     "check_computation", "check_restriction",
     "check_safety_at_all_histories", "CheckResult", "RestrictionOutcome",
     "LatticeChecker",
-    # restriction plans and compiled checking
-    "SpecPlan", "plan_for", "CompiledRestriction", "CompiledSpec",
+    # restriction plans and bitmask tables
+    "SpecPlan", "plan_for",
     "EventIndex", "event_index", "iter_bits",
     # errors
     "GemError", "SpecificationError", "ComputationError", "CycleError",

@@ -1,8 +1,8 @@
 """On-the-fly temporal checking: restriction DFAs over the event alphabet.
 
 Every temporal restriction used to be decided *post-hoc*: the scheduler
-enumerates complete runs, and only then does the checker (compiled
-pipeline, slice, or lattice walk) pass verdict per computation.  This
+enumerates complete runs, and only then does the checker (slice or
+lattice walk) pass verdict per computation.  This
 module compiles each □/◇ restriction into a minimal DFA over the
 alphabet "event *i* was added to the execution prefix", so that a
 per-path :class:`AutomatonMonitor` threaded through
@@ -57,7 +57,8 @@ both directions for monotone ``q``).  Not an early decision -- domains
 grow -- but a checker fast path at complete computations: no lattice
 walk at all (``provenance="dfa"``).
 
-``INERT``:  everything else (``PyPred`` bodies, nested temporal,
+``INERT``:  everything else (opaque bodies -- ``PyPred`` or a user
+subclass of a built-in node -- nested temporal,
 counting quantifiers, quantifier blow-up past the cap) is left entirely
 to the post-hoc pipeline, with the reason recorded and counted.
 
@@ -98,7 +99,6 @@ from .formula import (
     Not,
     Occurred,
     Or,
-    PyPred,
     Restriction,
     TemporallyPrecedes,
     TrueF,
@@ -312,7 +312,7 @@ def _dia_leaf(f: Formula) -> bool:
     domains (``◇q ⟺ q@top`` both ways, :attr:`Shape.monotone`)."""
     if isinstance(f, Eventually):
         return shape(f.body).monotone
-    if isinstance(f, Henceforth) or isinstance(f, PyPred):
+    if isinstance(f, Henceforth):
         return False
     if isinstance(f, HISTORY_INDEPENDENT):
         return True
@@ -444,6 +444,12 @@ def classify_restriction(
         return RestrictionAutomaton(
             restriction, INERT,
             f"more than {quantifier_cap} quantifiers (grounding cap)")
+    if facts.opaque:
+        # the certificates below read a node by its built-in type; an
+        # opaque one (PyPred, a user subclass) means what its own
+        # ``_eval`` says, which only the interpreter asks
+        return RestrictionAutomaton(restriction, INERT,
+                                    f"opaque {facts.opaque} body")
     # hoist the ∀-prefix over □ (valid: GEM domains are rigid, so
     # ∀x.□p ⟺ □∀x.p) and look for the safety shape: a □ fails on the
     # prefix at some prefix cut, prefix cuts survive into every
@@ -466,8 +472,6 @@ def classify_restriction(
     if _dia_leaf(formula):
         return RestrictionAutomaton(restriction, DIA_LEAF,
                                     stripped=_strip(formula))
-    if facts.pypred:
-        return RestrictionAutomaton(restriction, INERT, "opaque PyPred body")
     if isinstance(body, Henceforth):
         return RestrictionAutomaton(
             restriction, INERT, "□-body falsity not extension-stable")

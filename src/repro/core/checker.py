@@ -8,7 +8,7 @@ Immediate restrictions are evaluated once, by the interpreter, at the
 complete computation.  Temporal restrictions (containing □ or ◇) are
 interpreted over valid history sequences (Section 7), by a kernel
 that is not part of the semantics: ``temporal_mode`` takes one of
-four values, all deciding the same ``legal(C, σ)``.
+three values, all deciding the same ``legal(C, σ)``.
 
 ``auto`` (default)
     The production route chain.  A temporal restriction is decided by
@@ -21,25 +21,17 @@ four values, all deciding the same ``legal(C, σ)``.
     3. the slice (:mod:`repro.core.slice`): regular and linear shapes
        are decided exactly on the join-closed sublattice of
        satisfying cuts;
-    4. the compiled walk (:mod:`repro.core.compile`);
-    5. the lattice interpreter, for restrictions the compiler cannot
-       express (``PyPred``, unknown nodes).
+    4. the lattice interpreter, for what the slice declines
+       (``PyPred`` and other opaque nodes, shapes outside its
+       fragment).
 
-    The outcome's ``provenance`` records which of steps 1-3 decided it.
+    The outcome's ``provenance`` records which step decided it.
 
     Which steps a restriction is offered is a static fact of its
     formula: :mod:`repro.core.plan` works out each restriction's route
     once per specification (a leaf-resolvable automaton always decides
-    at step 2; a restriction the compiler cannot express skips step 4),
-    and one :class:`~repro.core.plan.CheckContext` per computation
-    builds each backend the first time a route reaches it.
-
-``compiled``
-    Steps 4 and 5 alone: each temporal restriction is compiled into
-    closures over bitmask histories, with quantifier-domain pruning,
-    constant folding, guard hoisting and monotone latching, and falls
-    back to the interpreter when it cannot be compiled (the
-    ``checker.fallbacks`` metric counts them).
+    at step 2), and one :class:`~repro.core.plan.CheckContext` per
+    computation builds each backend the first time a route reaches it.
 
 ``lattice``
     The reference interpreter: evaluate recursively over the lattice
@@ -47,8 +39,7 @@ four values, all deciding the same ``legal(C, σ)``.
     (AG) and ◇ as "on every path from here, eventually" (AF), with
     memoisation keyed by (subformula, history, relevant bindings).
     Histories are bitmasks over event positions, and □/◇ run through
-    :class:`~repro.core.history.LatticeWalk`, the walk the compiled
-    route shares.
+    :class:`~repro.core.history.LatticeWalk`.
 
 ``exact``
     Enumerate maximal valid history sequences from the empty history and
@@ -58,7 +49,7 @@ four values, all deciding the same ``legal(C, σ)``.
     Section 7 semantics).  Exact but exponential; use for small
     computations and cross-validation.
 
-The three single-route modes are references the ``auto`` chain is
+The two single-route modes are references the ``auto`` chain is
 differentially tested against.  Failure explanations and witnesses are
 always produced by the interpreter, so detail strings and diagnostics
 are identical across every mode that walks the lattice.
@@ -123,7 +114,7 @@ class RestrictionOutcome:
     automaton monitor decided it on a proper prefix and the check was
     skipped), ``"dfa"`` (restriction automaton resolved it at the full
     history, no walk), ``"slice"`` (exact, no lattice walk) or
-    ``"walk"`` (slice declined, compiled/lattice walk decided it);
+    ``"walk"`` (slice declined, the interpreter's walk decided it);
     empty for immediate restrictions and the single-route modes.
     Excluded from equality and ``__str__`` so report signatures and
     differential oracles stay byte-identical across modes.
@@ -188,8 +179,7 @@ class LatticeChecker:
     def __init__(self, computation: Computation,
                  history_cap: int = DEFAULT_HISTORY_CAP):
         self._comp = computation
-        self.walk = LatticeWalk(computation, history_cap, "lattice checker",
-                                id_order=True)
+        self.walk = LatticeWalk(computation, history_cap, "lattice checker")
         # memo: (□/◇ formula, env-key) -> {history mask: bool}; keyed
         # on the formula object itself (structural equality) rather than
         # id() -- ids are reused after garbage collection, which poisons
@@ -270,8 +260,8 @@ class LatticeChecker:
 
 
 #: Every accepted ``temporal_mode``: the production chain, then the
-#: three single-route references it is differentially tested against.
-TEMPORAL_MODES = ("auto", "compiled", "lattice", "exact")
+#: two single-route references it is differentially tested against.
+TEMPORAL_MODES = ("auto", "lattice", "exact")
 
 
 def check_restriction(
@@ -297,15 +287,15 @@ def check_restriction(
     equal to what this check would derive; ``provenance="dfa-early"``),
     to its restriction automaton when that is leaf-resolvable
     (``provenance="dfa"``), and to :class:`repro.core.slice.SliceChecker`
-    (``provenance="slice"``, or ``"walk"`` when the slice declines);
-    whatever is left takes the compiled walk with the interpreter as
-    fallback.  An immediate restriction takes no route: it is one
-    interpreter evaluation at the complete computation, in every mode.
+    (``provenance="slice"``, or ``"walk"`` when the slice declines and
+    the interpreter decides).  An immediate restriction takes no route:
+    it is one interpreter evaluation at the complete computation, in
+    every mode.
     ``decided`` is ignored by the single-route modes.  Every
     route yields the same verdict and detail string -- failing verdicts
     re-derive witnesses and explanations through the interpreter via
     ``fail()`` -- and the route differential in the tests and the
-    ``slice-differential`` / ``dfa-differential`` fuzz oracles gate that.
+    ``route-differential`` / ``dfa-differential`` fuzz oracles gate that.
 
     With ``with_witness``, a failing outcome's detail carries a located
     counterexample (the failing history and quantifier bindings) from
@@ -314,9 +304,8 @@ def check_restriction(
     ``metrics`` (a :class:`repro.obs.MetricsRegistry`, duck-typed so
     this module needs no obs import) receives ``checker.evals`` /
     ``checker.seconds`` per restriction (plus, for □/◇ restrictions,
-    ``checker.compiled_evals`` / ``checker.fallbacks`` on the compiled
-    route and the ``checker.dfa_*`` / ``checker.slice_*`` routing
-    counters).  ``tracer`` (a :class:`repro.obs.Tracer`) wraps the
+    the ``checker.dfa_*`` / ``checker.slice_*`` routing counters).
+    ``tracer`` (a :class:`repro.obs.Tracer`) wraps the
     evaluation in a ``restriction`` span, and on failure is handed the
     same descent (``tracer.explain``), which it records as a subformula
     evaluation trace (:mod:`repro.obs.explain`) explaining which
@@ -393,21 +382,7 @@ def check_restriction(
             provenance[0] = "slice"
             count("checker.slice_hits")
             return verdict(sliced)
-        if route == "compiled":
-            cspec = context.compiled
-            compiled = cspec.restriction(restriction)
-            if compiled is None:
-                return None  # an unbound variable: the interpreter decides
-            visited_before = cspec.walk.visited
-            holds = compiled.holds()
-            evals[0] = cspec.walk.visited - visited_before
-            count("checker.compiled_evals", max(evals[0], 1))
-            return verdict(holds)
         if route == "lattice":
-            if temporal_mode != "lattice":
-                # PyPred, an unknown node or an unbound variable:
-                # whole-restriction fallback to the reference interpreter
-                count("checker.fallbacks")
             checker = context.lattice
             visited_before = checker.visited
             holds = checker.holds(formula)
@@ -425,8 +400,7 @@ def check_restriction(
         return RestrictionOutcome(name, True,
                                   f"holds on all {evals[0]} maximal vhs")
 
-    routes = {"auto": planned.route, "compiled": planned.walk}.get(
-        temporal_mode, (temporal_mode,))
+    routes = planned.route if temporal_mode == "auto" else (temporal_mode,)
 
     def decide() -> RestrictionOutcome:
         if not temporal:
@@ -480,12 +454,13 @@ def check_computation(
     :class:`~repro.core.plan.SpecPlan` (built once per specification
     content, so engine workers inherit it across computations) through
     one :class:`~repro.core.plan.CheckContext` per computation: the
-    slice, the compiled closures and the interpreter are built the first
-    time a route reaches them and shared after that.
+    slice and the interpreter are built the first time a route reaches
+    them and shared after that.
 
     ``metrics``/``tracer`` thread through to :func:`check_restriction`;
-    the histories every lattice walk expanded for this computation land
-    in the ``checker.lattice_histories`` histogram.
+    the histories the interpreter's lattice walk expanded for this
+    computation (0 when no route reached it) land in the
+    ``checker.lattice_histories`` histogram.
     """
     result = CheckResult(spec.name)
     result.legality_violations = check_legality(computation, spec)

@@ -1,17 +1,16 @@
-"""Bitmask evaluation kernel shared by the compiled checker.
+"""Bitmask tables of one computation, shared by the slice and POR.
 
 Histories are bitmasks over event positions throughout the package (see
 :mod:`repro.core.history`); this module gathers, once per computation,
-every per-event table the compiled checker
-(:mod:`repro.core.compile`) and the slice (:mod:`repro.core.slice`)
-read:
+the per-event tables the slice (:mod:`repro.core.slice`) and the
+partial-order reduction (:mod:`repro.engine.por`) read:
 
 * a history is an ``int`` with bit *i* set iff event *i* has occurred;
 * the child of history ``m`` adding event *i* is ``m | (1 << i)``;
-* the relations ``⊳``, ``⇒ₑ`` and ``⇒`` are per-event successor masks
-  (``⊳`` and ``⇒`` *are* :class:`~repro.core.order.Relation`'s tables,
-  shared, not copied -- the computation indexes them in event order,
-  and the temporal relation is already transitively closed, so its raw
+* the relations ``⊳`` and ``⇒`` are per-event successor masks (they
+  *are* :class:`~repro.core.order.Relation`'s tables, shared, not
+  copied -- the computation indexes them in event order, and the
+  temporal relation is already transitively closed, so its raw
   successor table is the closure);
 * ``addable(m)`` is "every bit i ∉ m whose temporal-predecessor mask is
   contained in m", one AND-NOT per event.
@@ -50,8 +49,6 @@ class EventIndex:
         "temporal_succ",
         "temporal_pred",
         "enable_succ",
-        "element_succ",
-        "threads",
     )
 
     def __init__(self, computation: Computation) -> None:
@@ -68,20 +65,6 @@ class EventIndex:
         self.temporal_succ: List[int] = temporal.closure_table()
         self.temporal_pred: List[int] = temporal.closure_pred_table()
         self.enable_succ: List[int] = computation.enable_relation.succ_table()
-        # ⇒ₑ: same element, smaller occurrence number
-        self.element_succ: List[int] = [0] * n
-        by_element: Dict[str, List[int]] = {}
-        for i, ev in enumerate(self.events):
-            by_element.setdefault(ev.eid.element, []).append(i)
-        for members in by_element.values():
-            members.sort(key=lambda i: self.events[i].eid.index)
-            for pos, i in enumerate(members):
-                acc = 0
-                for j in members[pos + 1:]:
-                    acc |= 1 << j
-                self.element_succ[i] = acc
-        self.threads: Tuple[frozenset, ...] = tuple(
-            ev.threads for ev in self.events)
 
     # -- lattice steps ------------------------------------------------------
 

@@ -27,8 +27,7 @@ operation on ⇒'s memoised closure tables.  The ``frozenset`` of
 :class:`~repro.core.ids.EventId` that :attr:`History.events` returns
 is built lazily, once per instance, for callers that read it.
 :class:`LatticeWalk` is the one AG/AF walk over those masks; the lattice
-interpreter and the compiled checker both run their temporal operators
-through it.
+interpreter runs its temporal operators through it.
 """
 
 from __future__ import annotations
@@ -252,24 +251,21 @@ def full_history(computation: Computation) -> History:
 class LatticeWalk:
     """The one AG/AF walk over a computation's history lattice, on masks.
 
-    The interpreter (:class:`repro.core.checker.LatticeChecker`) and the
-    compiled checker (:class:`repro.core.compile.CompiledSpec`) each own
-    one per computation and run every □ and ◇ through it, with a *leaf*
+    The interpreter (:class:`repro.core.checker.LatticeChecker`) owns
+    one per computation and runs every □ and ◇ through it, with a *leaf*
     ``leaf(mask, env) -> bool`` evaluating the body at one history.  It
-    holds their shared addable-mask cache and the visit budget (past
-    ``cap`` it raises, naming ``who``).  ◇ visits children lowest
-    position first, or in sorted-``EventId`` order with ``id_order``;
-    ``visited`` and the cap boundary depend on the order, verdicts not.
+    holds the addable-mask cache and the visit budget (past ``cap`` it
+    raises, naming ``who``).  ◇ visits children in sorted-``EventId``
+    order; ``visited`` and the cap boundary depend on the order,
+    verdicts not.
     """
 
-    def __init__(self, computation: Computation, cap: int, who: str,
-                 id_order: bool = False) -> None:
+    def __init__(self, computation: Computation, cap: int, who: str) -> None:
         order = computation.temporal_relation
         self.computation = computation
         self.visited = 0
         self._cap = cap
         self._who = who
-        self._id_order = id_order
         self._pred = order.closure_pred_table()
         self._succ = order.closure_table()
         self._full = (1 << len(computation)) - 1
@@ -358,8 +354,7 @@ class LatticeWalk:
             add = self.addable(mask)
             result = bool(add) and all(
                 self.eventually(leaf, mask | 1 << i, env, memo)
-                for i in (self.by_id(add) if self._id_order
-                          else iter_bits(add)))
+                for i in self.by_id(add))
         memo[mask] = result
         return result
 

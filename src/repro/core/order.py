@@ -201,7 +201,7 @@ class Relation:
         """The strict-transitive-closure successor table, memoised.
 
         Computed at most once per instance and shared by every caller
-        (``down_set``, ``is_down_closed``, the compiled checker's
+        (``down_set``, ``is_down_closed``, the slice's
         :class:`~repro.core.evalcore.EventIndex`, and every
         :class:`~repro.core.history.History` of the owning computation
         all read the identical list object).  On a relation returned by

@@ -2,15 +2,15 @@
 
 GEM decides ``legal(C, σ)`` restriction by restriction (Section 7), and
 the checker has several routes to each verdict: the exploration
-monitor's early verdict, the DFA leaf, the slice, the compiled walk and
-the lattice interpreter.  Which route a restriction takes is mostly a
+monitor's early verdict, the DFA leaf, the slice and the lattice
+interpreter.  Which route a restriction takes is mostly a
 static fact of its formula.  This module works those facts out once per
 specification *content* and hands them to every route:
 
 * :func:`shape` -- the one formula analysis: temporal or not, opaque
-  ``PyPred`` content, quantifier count, compilability and the history
-  polarity (free / monotone / antitone) of every node, memoised on the
-  node itself;
+  content (``PyPred`` or a user subclass of a built-in node),
+  quantifier count and the history polarity (free / monotone /
+  antitone) of every node, memoised on the node itself;
 * :class:`RestrictionPlan` -- per restriction, its shape, its
   restriction automaton (:mod:`repro.core.automata`; kind, reason and
   alphabet) and its ordered route;
@@ -18,9 +18,8 @@ specification *content* and hands them to every route:
   the automata census, memoised by :func:`spec_fingerprint` in
   :func:`plan_for`, so resident serve workers that rebuild a resubmitted
   specification reuse it;
-* :class:`CheckContext` -- one computation's backends (slice, compiled
-  closures, interpreter), each built on first use by the route that
-  needs it.
+* :class:`CheckContext` -- one computation's backends (slice,
+  interpreter), each built on first use by the route that needs it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .formula import (
     AtElement,
     AtMostOne,
     Concurrent,
-    Const,
     DataCmp,
     DataEq,
     DistinctThreads,
@@ -55,9 +53,7 @@ from .formula import (
     Not,
     Occurred,
     Or,
-    Param,
     Potential,
-    PyPred,
     Restriction,
     SameThread,
     TemporallyPrecedes,
@@ -77,15 +73,13 @@ MONOTONE_ATOMS = (Occurred, AtElement, Enables, ElementPrecedes,
 STABLE_ATOMS = (New, Potential, AtControl)
 
 QUANTIFIERS = (ForAll, Exists, ExistsUnique, AtMostOne)
-#: Formula types the compiler translates, matched by exact type: a user
-#: subclass with overridden semantics falls back to the interpreter
-#: rather than being silently compiled as its base class.
-_COMPILED_LEAVES = frozenset((TrueF, FalseF, Occurred, AtElement, Enables,
-                              ElementPrecedes, TemporallyPrecedes,
-                              Concurrent, EventEq, New, Potential,
-                              SameThread, DistinctThreads, AtControl))
-_COMPILED_NODES = frozenset((Not, And, Or, Implies, Iff, Henceforth,
-                             Eventually) + QUANTIFIERS)
+#: The built-in node types whose meaning every route knows, matched by
+#: exact type: a user subclass may override ``_eval``, so like
+#: ``PyPred`` it is opaque -- only the interpreter, which calls the
+#: node's own ``_eval``, may decide it.
+TRANSPARENT = frozenset(HISTORY_INDEPENDENT + MONOTONE_ATOMS + STABLE_ATOMS
+                        + QUANTIFIERS + (Not, And, Or, Implies, Iff,
+                                         Henceforth, Eventually))
 
 
 class Shape(NamedTuple):
@@ -94,17 +88,18 @@ class Shape(NamedTuple):
     The polarities describe the value at a history under the lattice
     semantics (□ = AG, ◇ = AF) with quantifier domains fixed: ``free``
     ignores the history, ``up`` once true stays true at every extension,
-    ``down`` once false stays false.  ``free`` implies both.
+    ``down`` once false stays false.  ``free`` implies both.  An opaque
+    node has none of them.
     """
 
     temporal: bool
-    pypred: bool
+    #: type name of the first opaque node in the subtree ("" when every
+    #: node is :data:`TRANSPARENT`)
+    opaque: str
     quantifiers: int
     free: bool
     up: bool
     down: bool
-    #: why the compiler cannot translate the node ("" when it can)
-    uncompiled: str
 
     @property
     def monotone(self) -> bool:
@@ -122,7 +117,10 @@ def shape(f: Formula) -> Shape:
 
 def _analyze(f: Formula) -> Shape:
     kids = [shape(c) for c in f._children()]
-    if isinstance(f, HISTORY_INDEPENDENT):
+    transparent = type(f) in TRANSPARENT
+    if not transparent:
+        free = up = down = False
+    elif isinstance(f, HISTORY_INDEPENDENT):
         free = up = down = True
     elif isinstance(f, MONOTONE_ATOMS):
         free, up, down = False, True, False
@@ -147,33 +145,15 @@ def _analyze(f: Formula) -> Shape:
     elif isinstance(f, Eventually):
         # AF of a monotone body is the body at the complete history
         free = up = down = kids[0].up
-    else:  # STABLE_ATOMS, PyPred, unknown nodes
+    else:  # STABLE_ATOMS
         free = up = down = False
     return Shape(
         temporal=f.is_temporal(),
-        pypred=isinstance(f, PyPred) or any(k.pypred for k in kids),
+        opaque=("" if transparent else type(f).__name__) or next(
+            (k.opaque for k in kids if k.opaque), ""),
         quantifiers=(isinstance(f, QUANTIFIERS)
                      + sum(k.quantifiers for k in kids)),
-        free=free, up=up, down=down,
-        uncompiled=_uncompiled(f, kids))
-
-
-def _uncompiled(f: Formula, kids) -> str:
-    t = type(f)
-    if t in _COMPILED_LEAVES:
-        return ""
-    if t is DataEq or t is DataCmp:
-        if t is DataCmp and f.op not in DataCmp._OPS:
-            return f"unknown comparison {f.op!r}"
-        for term in (f.left, f.right):
-            if type(term) not in (Const, Param):
-                return f"no compiled form for term {type(term).__name__}"
-        return ""
-    if t in _COMPILED_NODES:
-        return next((k.uncompiled for k in kids if k.uncompiled), "")
-    if t is PyPred:
-        return f"opaque PyPred {f.describe()}"
-    return f"no compiled form for {t.__name__}"
+        free=free, up=up, down=down)
 
 
 class RestrictionPlan:
@@ -188,31 +168,24 @@ class RestrictionPlan:
     * ``slice`` -- declines outside the sliceable fragment, which is
       decided per computation (a ∀ over an empty domain grounds even a
       ``PyPred`` body away);
-    * ``compiled`` -- □/◇ only; declines only on an unbound variable;
     * ``lattice`` -- the interpreter; always decides, and is the whole
       route of an immediate restriction.
-
-    ``walk`` is the route's compiled/interpreter tail, the whole route
-    under ``temporal_mode="compiled"``.
     """
 
-    __slots__ = ("restriction", "shape", "automaton", "walk", "route")
+    __slots__ = ("restriction", "shape", "automaton", "route")
 
     def __init__(self, restriction: Restriction) -> None:
         from .automata import classify_restriction
 
         self.restriction = restriction
         self.shape = shape(restriction.formula)
-        self.walk: Tuple[str, ...] = (
-            ("lattice",) if self.shape.uncompiled or not self.shape.temporal
-            else ("compiled", "lattice"))
         self.automaton = None
-        self.route = self.walk
+        self.route: Tuple[str, ...] = ("lattice",)
         if self.shape.temporal:
             self.automaton = classify_restriction(restriction)
             self.route = ("dfa-early",) + (
                 ("dfa",) if self.automaton.leaf_resolvable
-                else ("slice",) + self.walk)
+                else ("slice", "lattice"))
 
     @property
     def temporal(self) -> bool:
@@ -273,18 +246,35 @@ def spec_fingerprint(spec) -> str:
     formulas, so their plans coincide.  ``PyPred`` contributes only its
     name -- safe because a plan never evaluates a ``PyPred``: routes run
     the checked instance's own restriction, and the only formulas a plan
-    evaluates itself (automaton guards) contain none.
+    evaluates itself (automaton guards) contain none.  A user subclass
+    describes itself like its base class, so the names of a
+    restriction's opaque node types join its description: an opaque twin
+    of a transparent restriction never inherits the transparent one's
+    routes.
     """
     parts = [f"spec:{spec.name}"]
     parts.extend(sorted(f"element:{n}" for n in spec.element_names()))
     parts.extend(sorted(
         f"group:{g.name}:{','.join(sorted(map(str, g.members)))}"
         for g in spec.groups))
-    parts.extend(sorted(
-        f"restriction:{r.name}={r.formula.describe()}"
-        for r in spec.all_restrictions()))
+    parts.extend(sorted(_restriction_key(r)
+                        for r in spec.all_restrictions()))
     parts.extend(sorted(f"thread:{t.name}" for t in spec.thread_types))
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+
+
+def _restriction_key(restriction: Restriction) -> str:
+    # a type scan, not shape(): a plan-memo hit must not pay for a
+    # shape analysis of the fresh instance it will never use
+    opaque, stack = [], [restriction.formula]
+    while stack:
+        f = stack.pop()
+        if type(f) not in TRANSPARENT:
+            opaque.append(type(f).__name__)
+        stack.extend(f._children())
+    return (f"restriction:{restriction.name}="
+            f"{restriction.formula.describe()}"
+            + (f" opaque:{','.join(opaque)}" if opaque else ""))
 
 
 #: spec fingerprint -> SpecPlan, across spec instances: a resident serve
@@ -313,11 +303,9 @@ def plan_for(spec) -> SpecPlan:
 class CheckContext:
     """One computation's backends, shared by a plan's routes.
 
-    The slice (:class:`~repro.core.slice.SliceChecker`), the compiled
-    closures (:class:`~repro.core.compile.CompiledSpec`, each □/◇
-    restriction compiled on its first request) and the interpreter
-    (:class:`~repro.core.checker.LatticeChecker`) are each built the
-    first time a route reaches them.
+    The slice (:class:`~repro.core.slice.SliceChecker`) and the
+    interpreter (:class:`~repro.core.checker.LatticeChecker`) are each
+    built the first time a route reaches them.
     """
 
     def __init__(self, plan: SpecPlan, computation, history_cap: int):
@@ -332,19 +320,13 @@ class CheckContext:
         return SliceChecker(self.computation)
 
     @cached_property
-    def compiled(self):
-        from .compile import CompiledSpec
-
-        return CompiledSpec(self.computation, self.history_cap)
-
-    @cached_property
     def lattice(self):
         from .checker import LatticeChecker
 
         return LatticeChecker(self.computation, self.history_cap)
 
     def explored(self) -> int:
-        """Histories expanded by every lattice walk that ran."""
+        """Histories expanded by the interpreter's lattice walk, 0 when
+        no route reached it."""
         built = vars(self)
-        return sum(built[walker].walk.explored()
-                   for walker in ("compiled", "lattice") if walker in built)
+        return built["lattice"].walk.explored() if "lattice" in built else 0

@@ -1,9 +1,8 @@
 """Computation slicing: exact temporal verdicts without walking chains.
 
 The lattice interpreter answers ``□p`` / ``◇p`` by exploring the history
-lattice history by history; the compiled checker does the same walk over
-bitmasks.  Both are exponential in the width of the temporal order, and
-``history_cap`` turns "verified" into "sampled" exactly on the large
+lattice history by history.  That walk is exponential in the width of
+the temporal order, and ``history_cap`` turns "verified" into "sampled" exactly on the large
 computations we care about.  Following the computation-slicing line of
 work (Chauhan–Garg, see PAPERS.md), many restriction shapes admit a
 *slice*: a small, lattice-structured description of the set of cuts
@@ -26,13 +25,14 @@ implements (□ = AG, ◇ = AF) by cube reasoning:
   negative-only), where truth along one chain is determined by truth at
   the endpoints.
 
-Shapes outside this fragment -- ``PyPred``, counting quantifiers over
-non-constant bodies, mixed-polarity regions under ◇, entangled nested
-temporal operators -- raise :class:`SliceError`, and the checker falls
-back to the walk (counted by ``checker.slice_fallbacks``, the same
-pattern as ``checker.fallbacks`` for the compiler).  The slice can
+Shapes outside this fragment -- opaque nodes (``PyPred``, or a user
+subclass of a built-in node, which the slice never reads as its base
+class), counting quantifiers over non-constant bodies, mixed-polarity
+regions under ◇, entangled nested temporal operators -- raise
+:class:`SliceError`, and the checker falls back to the interpreter's
+walk (counted by ``checker.slice_fallbacks``).  The slice can
 therefore only *add* exact verdicts; it never changes one.  A standing
-differential oracle (``slice-differential`` in :mod:`repro.fuzz`) and
+differential oracle (``route-differential`` in :mod:`repro.fuzz`) and
 ``tests/test_slice.py`` keep it byte-equal to the interpreter.
 
 Classification vocabulary (reported by :meth:`SliceChecker.analyze`):
@@ -93,6 +93,7 @@ from .formula import (
     TrueF,
 )
 from .history import empty_history
+from .plan import TRANSPARENT
 
 #: Cap on grounded-tree nodes (quantifier expansion is quadratic in
 #: domain sizes for the paper's pairwise restrictions).
@@ -319,6 +320,9 @@ class SliceChecker:
         if self._nodes > self._node_cap:
             raise SliceError(
                 f"grounded formula exceeds {self._node_cap} nodes")
+        if type(f) not in TRANSPARENT:
+            # PyPred or a user subclass: its own _eval is its meaning
+            raise SliceError(f"no slice grounding for {type(f).__name__}")
         idx = self._index
         comp = self._comp
         if isinstance(f, TrueF):

@@ -112,7 +112,7 @@ class EngineConfig:
 
     Which kernel decides a restriction is not a knob: every check takes
     the checker's ``temporal_mode="auto"`` route chain (DFA leaf, slice,
-    compiled walk, interpreter), whose verdicts are byte-identical to
+    interpreter), whose verdicts are byte-identical to
     the single-route reference modes by construction and by test.
     """
 

@@ -18,7 +18,7 @@ the workload (a catalog case name, or an inline fuzz-program spec) plus
 the engine knobs -- and every worker process *rebuilds* the worker
 bundle from it on first use, primes its compilation plans, and memoises
 it per state key.  Later tasks for the same key reuse the hot state:
-the per-process :class:`DedupeIndex` (and the compiled ``SpecPlan``
+the per-process :class:`DedupeIndex` (and the ``SpecPlan``
 living on the rebuilt spec instances) survive across requests, which is
 what makes warm resubmission cheap.  A per-job snapshot of the shared
 result cache travels with the tasks and is merged into the worker's

@@ -5,9 +5,11 @@ computations, specifications, and programs (:mod:`.generators`,
 :mod:`.programs`) are run against metamorphic and differential oracles
 (:mod:`.oracles`) -- the strict-partial-order laws of ``⇒``, the
 history-lattice laws of Section 7, fingerprint relabeling invariance,
-composition/projection round-trips, lattice-vs-exact checker agreement,
-compiled and slice-routed checker agreement, replay determinism, and
-the engine's serial == parallel == cached contract.  Failures are greedily shrunk and rendered as runnable pytest
+composition/projection round-trips, the checker's route agreement
+(the ``auto`` chain and the bare slice against the lattice interpreter,
+and the interpreter against exact vhs enumeration), replay determinism,
+and the engine's serial == parallel == cached contract.  Failures are
+greedily shrunk and rendered as runnable pytest
 snippets (:mod:`.shrink`); :mod:`.runner` drives the loop behind the
 ``repro fuzz`` CLI subcommand.
 
@@ -26,16 +28,14 @@ from .oracles import (
     ComposeArtifact,
     Oracle,
     ReplayArtifact,
-    check_compiled_agrees,
     check_compose_laws,
     check_dfa_agrees,
     check_engine_agreement,
     check_fingerprint_laws,
     check_history_laws,
-    check_modes_agree,
     check_order_laws,
     check_replay_determinism,
-    check_slice_agrees,
+    check_routes_agree,
     identity_correspondence,
     make_oracles,
     oracle_names,
@@ -59,8 +59,8 @@ __all__ = [
     "Oracle", "make_oracles", "oracle_names",
     "CheckerArtifact", "ComposeArtifact", "ReplayArtifact",
     "check_order_laws", "check_history_laws", "check_fingerprint_laws",
-    "check_compiled_agrees", "check_compose_laws", "check_modes_agree",
-    "check_replay_determinism", "check_slice_agrees",
+    "check_compose_laws", "check_routes_agree",
+    "check_replay_determinism",
     "check_dfa_agrees",
     "check_engine_agreement", "identity_correspondence",
     "FuzzProgram", "FuzzProgramSpec", "RecipeProgram",

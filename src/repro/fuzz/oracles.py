@@ -300,84 +300,37 @@ def check_compose_laws(
     return None
 
 
-def check_modes_agree(
+def check_routes_agree(
     comp: Computation,
     restriction: Restriction,
     vhs_cap: int = 50_000,
+    auto_check=None,
 ) -> Optional[str]:
-    """Differential oracle: lattice vs exact temporal checking.
+    """Differential oracle: every route the plan offers vs the interpreter.
 
-    For ``□p`` with an immediate ``p`` the memoised lattice evaluator
-    and exhaustive vhs enumeration are provably equivalent (every
-    reachable history lies on some maximal sequence); any divergence is
-    an implementation bug in one of them.
-    """
-    lattice = check_restriction(comp, restriction, temporal_mode="lattice")
-    exact = check_restriction(comp, restriction, temporal_mode="exact",
-                              vhs_cap=vhs_cap)
-    if lattice.holds != exact.holds:
-        return (f"checker modes disagree on {restriction.name!r}: "
-                f"lattice={lattice.holds} exact={exact.holds} "
-                f"({restriction.formula.describe()})")
-    return None
+    The reference interpreter (``temporal_mode="lattice"``) is the
+    pivot, and three laws are checked against it:
 
+    * the production ``auto`` outcome equals its *verdict and detail
+      string*, whichever route decided it;
+    * the bare :meth:`repro.core.slice.SliceChecker.analyze` verdict
+      equals its verdict whenever the slice decides (regular and linear
+      shapes; it declines the rest) -- the DFA leaf runs ahead of the
+      slice in the ``auto`` chain, so this reaches restrictions the
+      chain never offers the slice;
+    * its verdict equals exhaustive vhs enumeration
+      (``temporal_mode="exact"``).  For ``□p`` with an immediate ``p``
+      the two are provably equivalent (every reachable history lies on
+      some maximal sequence); outside the monotone fragment they may
+      differ, and this law is what notices.
 
-def check_compiled_agrees(
-    comp: Computation,
-    restriction: Restriction,
-    vhs_cap: int = 50_000,
-    compiled_check=None,
-) -> Optional[str]:
-    """Differential oracle: compiled vs lattice vs exact checking.
-
-    The compiled bitmask checker (:mod:`repro.core.compile`) must
-    reproduce the interpreter's :class:`RestrictionOutcome` *exactly*
-    (verdict and detail string) on every formula it compiles, and both
-    must agree with exhaustive vhs enumeration on the ``□p`` shapes the
-    artifact generator produces.  ``compiled_check`` is injectable for
-    mutant seeding (a deliberately broken compiled evaluator must be
-    caught by this oracle).
-    """
-    impl = compiled_check or (lambda c, r: check_restriction(
-        c, r, temporal_mode="compiled"))
-    lattice = check_restriction(comp, restriction, temporal_mode="lattice")
-    compiled = impl(comp, restriction)
-    if (lattice.holds, lattice.detail) != (compiled.holds, compiled.detail):
-        return (f"compiled checker disagrees with interpreter on "
-                f"{restriction.name!r}: compiled=({compiled.holds}, "
-                f"{compiled.detail!r}) lattice=({lattice.holds}, "
-                f"{lattice.detail!r}) ({restriction.formula.describe()})")
-    exact = check_restriction(comp, restriction, temporal_mode="exact",
-                              vhs_cap=vhs_cap)
-    if compiled.holds != exact.holds:
-        return (f"compiled checker disagrees with exact enumeration on "
-                f"{restriction.name!r}: compiled={compiled.holds} "
-                f"exact={exact.holds} ({restriction.formula.describe()})")
-    return None
-
-
-def check_slice_agrees(
-    comp: Computation,
-    restriction: Restriction,
-    vhs_cap: int = 50_000,
-    slice_check=None,
-) -> Optional[str]:
-    """Differential oracle: the ``auto`` route and the bare slice vs
-    lattice vs exact checking.
-
-    Two things are compared against the interpreter and exhaustive vhs
-    enumeration.  The production ``auto`` outcome must equal the
-    interpreter's *verdict and detail string* whichever route decided
-    it.  Since the DFA leaf runs before the slice in that chain, the
-    bare :meth:`repro.core.slice.SliceChecker.analyze` verdict is also
-    checked on its own whenever the slice decides (regular and linear
-    shapes; it declines the rest).  ``slice_check`` is injectable for
-    mutant seeding: it replaces the ``auto`` check, and a deliberately
-    broken evaluator there must be caught by this oracle.
+    ``auto_check`` is injectable for mutant seeding: it replaces the
+    ``auto`` check, and a deliberately broken evaluator there must be
+    caught by this oracle.
     """
     from ..core.slice import SliceChecker
 
-    impl = slice_check or check_restriction
+    impl = auto_check or check_restriction
     lattice = check_restriction(comp, restriction, temporal_mode="lattice")
     routed = impl(comp, restriction)
     if (lattice.holds, lattice.detail) != (routed.holds, routed.detail):
@@ -394,9 +347,9 @@ def check_slice_agrees(
                 f"({restriction.formula.describe()})")
     exact = check_restriction(comp, restriction, temporal_mode="exact",
                               vhs_cap=vhs_cap)
-    if routed.holds != exact.holds:
-        return (f"auto route disagrees with exact enumeration on "
-                f"{restriction.name!r}: auto={routed.holds} "
+    if lattice.holds != exact.holds:
+        return (f"interpreter disagrees with exact enumeration on "
+                f"{restriction.name!r}: lattice={lattice.holds} "
                 f"exact={exact.holds} ({restriction.formula.describe()})")
     return None
 
@@ -417,9 +370,8 @@ def check_dfa_agrees(
     *prefix* equals the ground-truth lattice verdict on the completed
     computation (box-reject prefixes stay violating in every
     completion, dia-accept prefixes stay satisfied); and (3) the
-    ``auto`` checker fed the recorded early verdicts reproduces the
-    single-route ``temporal_mode="compiled"`` checker's per-restriction
-    verdicts exactly.
+    ``auto`` checker fed the recorded early verdicts reproduces those
+    same lattice verdicts per restriction exactly.
 
     Runs over :func:`dfa_problem_spec` -- the fuzz spec extended with a
     box-reject budget restriction and a dia-accept liveness one, so
@@ -448,20 +400,17 @@ def check_dfa_agrees(
         return (f"the monitor perturbed exploration: {len(plain)} plain "
                 f"run(s) vs {len(monitored)} monitored")
 
-    verdicts_by_fp: Dict[str, Tuple[Dict[str, bool], Dict[str, bool]]] = {}
+    verdicts_by_fp: Dict[str, Dict[str, bool]] = {}
     for run in monitored:
         if run.truncated:
             continue
         comp = run.computation
         fp = comp.stable_fingerprint()
-        cached = verdicts_by_fp.get(fp)
-        if cached is None:
-            truth = {o.name: o.holds for o in check_computation(
-                comp, problem_spec, temporal_mode="lattice").outcomes}
-            base = {o.name: o.holds for o in check_computation(
-                comp, problem_spec, temporal_mode="compiled").outcomes}
-            cached = verdicts_by_fp[fp] = (truth, base)
-        truth, base = cached
+        truth = verdicts_by_fp.get(fp)
+        if truth is None:
+            truth = verdicts_by_fp[fp] = {
+                o.name: o.holds for o in check_computation(
+                    comp, problem_spec, temporal_mode="lattice").outcomes}
         for name, holds in run.decided:
             if truth.get(name) != holds:
                 return (f"monitor decided {name!r}={holds} on a prefix of "
@@ -469,9 +418,10 @@ def check_dfa_agrees(
                         f"says {truth.get(name)}")
         routed = {o.name: o.holds for o in check_computation(
             comp, problem_spec, decided=dict(run.decided)).outcomes}
-        if routed != base:
+        if routed != truth:
             return (f"dfa-routed checker disagrees on run {run.choices}: "
-                    f"{routed} on the auto route vs {base} compiled")
+                    f"{routed} on the auto route vs {truth} on the "
+                    f"interpreter")
     return None
 
 
@@ -966,35 +916,19 @@ def make_oracles(jobs: int = 2) -> Dict[str, Oracle]:
             lambda art: art.shrink_candidates(),
         ),
         Oracle(
-            "checker-modes",
-            "lattice vs exact temporal checking agree on □p",
-            gen_checker,
-            lambda art: check_modes_agree(
-                (comp := art.recipe.build()), art.restriction(comp)),
-            lambda art: art.shrink_candidates(),
-        ),
-        Oracle(
-            "compiled-differential",
-            "compiled bitmask checker == lattice interpreter == exact "
+            "route-differential",
+            "auto route and bare slice == lattice interpreter == exact "
             "enumeration",
             gen_checker,
-            lambda art: check_compiled_agrees(
-                (comp := art.recipe.build()), art.restriction(comp)),
-            lambda art: art.shrink_candidates(),
-        ),
-        Oracle(
-            "slice-differential",
-            "auto-route checker and bare slice == lattice interpreter "
-            "== exact enumeration",
-            gen_checker,
-            lambda art: check_slice_agrees(
+            lambda art: check_routes_agree(
                 (comp := art.recipe.build()), art.restriction(comp)),
             lambda art: art.shrink_candidates(),
         ),
         Oracle(
             "dfa-differential",
             "automaton monitor: exploration unperturbed, early verdicts "
-            "== completed-computation verdicts, auto routing == compiled",
+            "== completed-computation verdicts, auto routing == "
+            "interpreter",
             gen_engine,
             check_dfa_agrees,
             lambda spec: spec.shrink_candidates(),

@@ -259,7 +259,7 @@ def response_matches_invocation_restriction() -> Restriction:
     """□ every occurred Res is directly enabled by a matching Inv.
 
     A first-order temporal restriction (no escape hatch), so the
-    compiled checker, slicer and restriction automata all get a shape
+    slicer and restriction automata both get a shape
     to chew on alongside the PyPred consistency verdicts.
     """
     body = ForAll("r", ClassAnywhere("Res"), Implies(

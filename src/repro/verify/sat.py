@@ -197,8 +197,8 @@ def verify_program(
     either way; the CLI's ``--no-dfa`` turns it off.
 
     Every distinct computation is checked through the checker's
-    ``temporal_mode="auto"`` route chain (DFA leaf, slice, compiled
-    walk, interpreter); which route decides is not part of the
+    ``temporal_mode="auto"`` route chain (DFA leaf, slice,
+    interpreter); which route decides is not part of the
     verdict, so there is no switch for it here.
 
     Pass ``exploration`` to reuse runs already gathered (e.g. when

@@ -3,12 +3,12 @@
 Before :mod:`repro.core.plan`, three modules each analysed a
 restriction's shape on their own.  :func:`classify_restriction` (with
 its helpers) is the restriction-automata classifier of
-:mod:`repro.core.automata`, and :func:`is_compilable` the compiler's
-static check from :mod:`repro.core.compile`, both as they were then.
-``tests/test_plan.py`` holds the plan's DFA kind, reason, alphabet and
-compilability to them.  Only the automaton record type and its kind
-constants are imported from the package; the analyses are copies, with
-one relative import made absolute.
+:mod:`repro.core.automata` as it was then, and ``tests/test_plan.py``
+holds the plan's DFA kind, reason and alphabet to it.  (The compiler's
+static check, the third analysis, went with the compiler.)  Only the
+automaton record type and its kind constants are imported from the
+package; the analyses are copies, with one relative import made
+absolute.
 
 Not part of the package; tests only.
 """
@@ -30,7 +30,6 @@ from repro.core.formula import (
     AtElement,
     AtMostOne,
     Concurrent,
-    Const,
     DataCmp,
     DataEq,
     DistinctThreads,
@@ -50,7 +49,6 @@ from repro.core.formula import (
     Not,
     Occurred,
     Or,
-    Param,
     Potential,
     PyPred,
     Restriction,
@@ -381,39 +379,3 @@ def classify_restriction(
         return RestrictionAutomaton(
             restriction, INERT, "□-body falsity not extension-stable")
     return RestrictionAutomaton(restriction, INERT, "shape not regular")
-
-
-# -- repro.core.compile ------------------------------------------------------
-
-#: Formula types the compiler knows how to translate.  Exact-type
-#: matched: a user subclass with overridden semantics falls back to the
-#: interpreter rather than being silently compiled as its base class.
-_LEAVES = frozenset((TrueF, FalseF, Occurred, AtElement, Enables,
-                     ElementPrecedes, TemporallyPrecedes, Concurrent,
-                     EventEq, New, Potential, SameThread, DistinctThreads))
-_CONNECTIVES = (Not, And, Or, Implies, Iff, Henceforth, Eventually)
-_QUANTIFIERS = (ForAll, Exists, ExistsUnique, AtMostOne)
-
-
-def is_compilable(formula: Formula) -> bool:
-    """Static check: can the compiler translate this formula?
-
-    ``PyPred`` nodes, unrecognised ``Formula`` subclasses, and exotic
-    terms force the interpreter fallback for the whole restriction.
-    """
-    t = type(formula)
-    if t in _LEAVES:
-        return True
-    if t is DataEq:
-        return (type(formula.left) in (Const, Param)
-                and type(formula.right) in (Const, Param))
-    if t is DataCmp:
-        return (formula.op in DataCmp._OPS
-                and type(formula.left) in (Const, Param)
-                and type(formula.right) in (Const, Param))
-    if t is AtControl:
-        return True
-    if t in _CONNECTIVES or t in _QUANTIFIERS:
-        return all(is_compilable(c) for c in formula._children())
-    return False
-

@@ -27,6 +27,7 @@ import random
 
 import pytest
 
+import repro.bench as bench
 from repro.bench import run_bench, _suite_selected
 from repro.cli import _build_cases, case_catalog
 from repro.core.automata import (
@@ -46,8 +47,7 @@ from repro.core.automata import (
     classify_restriction,
 )
 from repro.core.checker import check_computation
-from repro.core.compile import plan_for
-from repro.core.plan import spec_fingerprint
+from repro.core.plan import plan_for, spec_fingerprint
 from repro.core.formula import (
     And,
     Eventually,
@@ -277,7 +277,7 @@ class TestProbeAndMonitor:
         routed = check_computation(run.computation, spec,
                                    decided=dict(run.decided))
         plain = check_computation(run.computation, spec,
-                                  temporal_mode="compiled")
+                                  temporal_mode="lattice")
         assert not routed.ok and not plain.ok
         assert routed.dfa_hits == 1
         assert [(o.name, o.holds) for o in routed.outcomes] == (
@@ -643,14 +643,14 @@ class TestBenchFilter:
     def test_only_json_merges_into_the_existing_file(self, tmp_path):
         """A filtered ``--json`` run replaces the rows it ran and keeps
         every other row, so their gates survive."""
-        kept = {"gate": True, "lattice_s": 1.0, "compiled_s": 0.1,
-                "speedup": 10.0}
+        kept = {"gate": True, "lattice_visits": 100, "slice_visits": 10,
+                "lattice_s": 1.0, "sliced_s": 0.1, "speedup": 10.0}
         path = tmp_path / "bench.json"
         path.write_text(json.dumps({
             "schema": 1, "bench": "repro bench", "quick": False,
             "gate_tolerance": 0.25,
             "workloads": {
-                "checker:2x20": kept,
+                "slice:2x20": kept,
                 "dfa:early-violation": {"gate": True, "cuts": 0,
                                         "speedup": 1.0},
             },
@@ -660,9 +660,33 @@ class TestBenchFilter:
         payload = json.loads(path.read_text())
         assert payload["quick"] is False
         rows = payload["workloads"]
-        assert sorted(rows) == ["checker:2x20", "dfa:early-violation"]
-        assert rows["checker:2x20"] == kept
+        assert sorted(rows) == ["dfa:early-violation", "slice:2x20"]
+        assert rows["slice:2x20"] == kept
         assert rows["dfa:early-violation"]["cuts"] == 20
+
+    def test_serve_floor_miss_reports_after_every_suite(self, monkeypatch):
+        """A ``serve:warm`` row below its floor fails the run, but only
+        after the ``por:*``, ``dfa:*`` and ``objects:*`` rows print."""
+        def rows(*names):
+            return lambda **_kw: {name: {"gate": False, "cases": 1,
+                                         "verify_s": 0.0}
+                                  for name in names}
+
+        monkeypatch.setattr(bench, "run_slice_bench", rows("slice:stub"))
+        monkeypatch.setattr(bench, "run_serve_bench", lambda **_kw: {
+            "serve:warm": {"gate": False, "oneshot_s": 1.0,
+                           "serve_s": 0.5, "speedup": 2.0}})
+        monkeypatch.setattr(bench, "run_por_bench", rows("por:stub"))
+        monkeypatch.setattr(bench, "run_dfa_bench", rows("dfa:stub"))
+        monkeypatch.setattr(bench, "run_objects_bench", rows("objects:stub"))
+        buf = io.StringIO()
+        assert run_bench(out=buf) == 1
+        lines = buf.getvalue().splitlines()
+        printed = [line.split()[0] for line in lines]
+        for name in ("serve:warm", "por:stub", "dfa:stub", "objects:stub"):
+            assert name in printed, lines
+        assert lines[-1] == ("REGRESSION: serve:warm: 2.0x over the "
+                             "per-invocation path is below the 3x floor")
 
     def test_quick_dfa_row_is_gated_and_wins(self):
         buf = io.StringIO()

@@ -69,6 +69,28 @@ class TestImmediateChecking:
         assert not outcome.holds
         assert "complete computation" in outcome.detail
 
+    def test_immediate_restrictions_take_the_interpreter_in_every_mode(self):
+        """An immediate restriction is one evaluation at the complete
+        computation, whatever the mode, with no route tally."""
+        from repro.obs import MetricsRegistry
+
+        comp = fork_join()
+        for restriction in (
+                Restriction("work-after-fork", ForAll(
+                    "w", "Work", Implies(Occurred("w"),
+                                         Exists("f", "Fork", Occurred("f"))))),
+                Restriction("no-work-at-all",
+                            ForAll("w", "Work", Not(Occurred("w"))))):
+            metrics = MetricsRegistry()
+            outcomes = {(o.holds, o.detail, o.provenance) for o in (
+                check_restriction(comp, restriction, temporal_mode=mode,
+                                  metrics=metrics)
+                for mode in ("auto", "lattice", "exact"))}
+            assert len(outcomes) == 1, outcomes
+            names = {r["name"] for r in metrics.records()
+                     if r["labels"].get("restriction") == restriction.name}
+            assert names == {"checker.evals", "checker.seconds"}, names
+
 
 class TestLatticeMode:
     def test_ag_safety(self):
@@ -125,6 +147,14 @@ class TestLatticeMode:
         lc = LatticeChecker(c, history_cap=50)
         with pytest.raises(ComputationError, match="history_cap"):
             lc.holds(Henceforth(TrueF()))
+
+    def test_history_cap_enforced(self):
+        """The cap binds through ``check_restriction`` too."""
+        c = fork_join()
+        r = Restriction("no-work",
+                        Henceforth(ForAll("w", "Work", Not(Occurred("w")))))
+        with pytest.raises(ComputationError):
+            check_restriction(c, r, temporal_mode="lattice", history_cap=1)
 
     def test_boolean_combinations_of_temporal(self):
         c = fork_join()

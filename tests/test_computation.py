@@ -388,3 +388,26 @@ class TestOneKahnPass:
         assert idx.temporal_succ is comp.temporal_relation.succ_table()
         assert idx.enable_succ is comp.enable_relation.succ_table()
         assert idx.index_of == {eid: i for i, eid in enumerate(ids)}
+
+
+class TestMemoIdentity:
+    """Per-computation caches hand back the same object every time."""
+
+    def test_closure_table_identity(self):
+        comp, _ = diamond()
+        relation = comp.temporal_relation
+        assert relation.closure_table() is relation.closure_table()
+
+    def test_history_cache_identity(self):
+        from repro.core import empty_history
+
+        comp, _ = diamond()
+        h = empty_history(comp)
+        assert h.addable() is h.addable()
+        assert h.frontier() is h.frontier()
+
+    def test_event_index_identity(self):
+        from repro.core import event_index
+
+        comp, _ = diamond()
+        assert event_index(comp) is event_index(comp)

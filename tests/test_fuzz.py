@@ -45,9 +45,9 @@ from repro.fuzz import (
     check_engine_agreement,
     check_fingerprint_laws,
     check_history_laws,
-    check_modes_agree,
     check_order_laws,
     check_replay_determinism,
+    check_routes_agree,
     make_oracles,
     oracle_names,
     random_choices,
@@ -317,7 +317,7 @@ class TestKilledMutants:
         only_a = And((Exists("x", "A.Go", Occurred("x")),
                       Not(Exists("y", "B.Go", Occurred("y")))))
         mutant = Restriction("never-only-a", Not(Eventually(only_a)))
-        message = check_modes_agree(comp, mutant)
+        message = check_routes_agree(comp, mutant)
         assert message is not None
         assert "disagree" in message
 
@@ -454,7 +454,7 @@ class TestShrinker:
             recipe=random_computation(random.Random(2), max_events=4,
                                       with_groups=False),
             formula_seed=7)
-        snippet = repro_snippet("checker-modes", artifact, "msg")
+        snippet = repro_snippet("route-differential", artifact, "msg")
         assert "from repro.fuzz.oracles import CheckerArtifact" in snippet
         assert "from repro.fuzz.generators import ComputationRecipe" in snippet
         compile(snippet, "<snippet>", "exec")

@@ -1,9 +1,8 @@
 """Lattice differential: mask histories against the frozenset lattice.
 
 A :class:`~repro.core.history.History` is a bitmask over the event
-positions the computation assigns, and □/◇ run through one
-:class:`~repro.core.history.LatticeWalk` shared by the interpreter and
-the compiled checker.  ``tests/reference_lattice.py`` keeps the
+positions the computation assigns, and the interpreter runs □/◇
+through one :class:`~repro.core.history.LatticeWalk`.  ``tests/reference_lattice.py`` keeps the
 frozenset ``History``, ``LatticeChecker`` and witness searches they
 replaced, verbatim.  On every catalog case and mutant:
 
@@ -267,20 +266,19 @@ class TestHistoryAgainstReference:
                 down_sets.add(ref.History(comp, members).events)
             except ComputationError:
                 pass
-        for id_order in (False, True):
-            walk = LatticeWalk(comp, 10_000, "test walk", id_order=id_order)
-            seen: List[int] = []
-            assert walk.always(lambda m, env: seen.append(m) or True, 0,
-                               None, {})
-            full = (1 << len(ids)) - 1
-            assert walk.eventually(
-                lambda m, env: seen.append(m) or m == full, 0, None, {})
-            half = len(seen) // 2
-            for visits in (seen[:half], seen[half:]):
-                assert len(visits) == len(set(visits)) == len(down_sets)
-                assert {History.of_mask(comp, m).events
-                        for m in visits} == down_sets
-            assert walk.visited == len(seen)
+        walk = LatticeWalk(comp, 10_000, "test walk")
+        seen: List[int] = []
+        assert walk.always(lambda m, env: seen.append(m) or True, 0,
+                           None, {})
+        full = (1 << len(ids)) - 1
+        assert walk.eventually(
+            lambda m, env: seen.append(m) or m == full, 0, None, {})
+        half = len(seen) // 2
+        for visits in (seen[:half], seen[half:]):
+            assert len(visits) == len(set(visits)) == len(down_sets)
+            assert {History.of_mask(comp, m).events
+                    for m in visits} == down_sets
+        assert walk.visited == len(seen)
 
 
 #: Restrictions that fail at many histories of one size, so the

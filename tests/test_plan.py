@@ -1,12 +1,11 @@
 """The one restriction plan (``repro.core.plan``).
 
 Every route reads its static facts from one :class:`SpecPlan` per
-specification content.  The plan replaced three separate shape
-analyses; ``tests/reference_plan.py`` keeps two of them verbatim (the
-restriction-automata classifier and the compiler's ``is_compilable``),
-and the plan must agree with them on every restriction of every catalog
-problem and program specification, mutants included, and on random
-formulas: same DFA kind, reason and alphabet, same compilability.
+specification content.  The plan replaced separate shape analyses;
+``tests/reference_plan.py`` keeps the restriction-automata classifier
+verbatim, and the plan must agree with it on every restriction of
+every catalog problem and program specification, mutants included, and
+on random formulas: same DFA kind, reason and alphabet.
 
 The plan's own promises are pinned too: one memo serves the checker and
 the monitor, a bound plan builds nothing until a route asks, and the
@@ -25,7 +24,6 @@ import tests.reference_plan as reference
 from repro.cli import case_catalog
 from repro.core.automata import automata_plan_for, classify_restriction
 from repro.core.checker import check_computation, check_restriction
-from repro.core.compile import plan_for
 from repro.core.formula import (
     And,
     Eventually,
@@ -41,7 +39,7 @@ from repro.core.formula import (
     PyPred,
     Restriction,
 )
-from repro.core.plan import shape
+from repro.core.plan import plan_for, shape
 from repro.fuzz import random_computation
 from repro.fuzz.generators import random_formula
 from repro.obs import MetricsRegistry
@@ -72,9 +70,6 @@ def assert_matches_reference(restriction: Restriction, planned=None) -> None:
         assert (got.kind, got.reason, got.alphabet) == (
             want.kind, want.reason, want.alphabet), restriction.describe()
         assert repr(got.stripped) == repr(want.stripped)
-    compiles = not shape(restriction.formula).uncompiled
-    assert compiles == reference.is_compilable(restriction.formula), (
-        restriction.describe())
 
 
 class TestReference:
@@ -93,8 +88,7 @@ class TestReference:
         for label, spec, r in catalog_restrictions():
             planned = plan_for(spec).restrictions[r.name]
             if not planned.temporal:
-                assert "compiled" not in planned.route, (label, r.name)
-                assert planned.route == planned.walk == ("lattice",)
+                assert planned.route == ("lattice",), (label, r.name)
                 immediate += 1
         assert immediate > 0
 
@@ -126,7 +120,7 @@ class TestReference:
         assert_matches_reference(Restriction("r", shapes[wrap]))
 
     def test_generalised_polarity_stays_out_of_the_dfa(self):
-        """The compiler reads ¬ and ⊃ by the general polarity rule
+        """The shape reads ¬ and ⊃ by the general polarity rule
         (¬ of an antitone body is monotone); the DFA classifier keeps its
         own reading exactly."""
         body = Not(Not(Occurred("x")))
@@ -151,16 +145,47 @@ class TestPlanFacts:
         comp, spec = bounded_buffer_computation()
         plan = plan_for(spec)
         context = plan.bind(comp, 2_000_000)
-        assert not {"slice", "compiled", "lattice"} & set(vars(context))
-        sliced = {r.name for r in spec.all_restrictions()
-                  if check_restriction(comp, r, context=context).provenance
-                  == "slice"}
-        # a restriction is compiled only when its route reaches the
-        # compiler: not for the DFA leaf, the interpreter-only
-        # restrictions or what the slice decided
-        assert set(context.compiled._compiled) == {
-            name for name, p in plan.restrictions.items()
-            if "compiled" in p.route and name not in sliced}
+        assert not {"slice", "lattice"} & set(vars(context))
+        provenance = {r.name: check_restriction(comp, r, context=context
+                                                ).provenance
+                      for r in spec.all_restrictions()}
+        # each backend is built once a route reaches it: the slice for
+        # every □/◇ restriction the DFA leaf does not decide, the
+        # interpreter only for what the slice declined
+        assert set(provenance.values()) == {"", "dfa", "walk"}
+        assert set(context.slice._analyses) == {
+            r for r in spec.all_restrictions()
+            if "slice" in plan.restrictions[r.name].route}
+        assert "lattice" in vars(context)
+        assert context.explored() == context.lattice.walk.explored() > 0
+        fresh = plan.bind(comp, 2_000_000)
+        for r in spec.all_restrictions():
+            if provenance[r.name] in ("", "dfa"):
+                check_restriction(comp, r, context=fresh)
+        assert not {"slice", "lattice"} & set(vars(fresh))
+        assert fresh.explored() == 0
+
+    def test_pypred_is_opaque(self):
+        assert shape(PyPred("always", lambda h, env: True)).opaque == "PyPred"
+        assert shape(Henceforth(And((
+            Occurred("x"), PyPred("p", lambda h, env: True))))).opaque
+        assert not shape(Henceforth(ForAll(
+            "w", "Work", Not(Occurred("w"))))).opaque
+
+    def test_formula_subclass_is_opaque(self):
+        """User subclasses may override semantics; no route but the
+        interpreter may read them as their base class."""
+
+        class InvertedOccurred(Occurred):
+            pass
+
+        facts = shape(Eventually(InvertedOccurred("x")))
+        assert facts.opaque == "InvertedOccurred"
+        assert not (facts.free or facts.up or facts.down)
+        automaton = classify_restriction(
+            Restriction("r", Eventually(InvertedOccurred("x"))))
+        assert (automaton.kind, automaton.reason) == (
+            "inert", "opaque InvertedOccurred body")
 
     def test_lattice_histories_observe_every_walk(self):
         """Under ``auto`` the interpreter decides the ``PyPred``

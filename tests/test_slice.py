@@ -6,7 +6,7 @@ route chain:
 * a 200-seed differential sweep -- ``auto`` checking, and the bare
   slice wherever it decides, must be byte-equal (verdict *and* detail)
   to the lattice interpreter on every CLI catalog case and on randomly
-  generated restrictions, and equal to the compiled walk too;
+  generated restrictions;
 * hypothesis properties of the slice representation itself -- each
   :class:`SliceCube` is a join/meet-closed sublattice, every cut in the
   predicate's cubes satisfies the predicate, and the union of cubes is
@@ -15,7 +15,7 @@ route chain:
   linear / non-regular is part of the contract, not an accident;
 * routing and provenance -- engine counters, sampled-census exactness
   (the workloads that flip from walk-sampled to slice-exact under a
-  run cap), the ``slice-differential`` fuzz oracle and its mutant kill.
+  run cap), the ``route-differential`` fuzz oracle and its mutant kill.
 """
 
 import random
@@ -49,7 +49,7 @@ from repro.core.evalcore import event_index
 from repro.engine import EngineConfig, run_verification
 from repro.fuzz import (
     CheckerArtifact,
-    check_slice_agrees,
+    check_routes_agree,
     oracle_names,
     random_computation,
 )
@@ -91,19 +91,18 @@ def case_projections(name: str, n: int, seed: int = 0):
 
 class TestDifferentialSweep:
     def test_catalog_cases_agree_in_every_mode(self):
-        """The auto route (slice included) equals both walking reference
-        modes on every catalog case, verdicts and details."""
+        """The auto route (slice included) equals the walking reference
+        mode on every catalog case, verdicts and details."""
         mismatches = []
         for name in CATALOG_CASES:
             spec, projections = case_projections(name, 6)
             for comp in projections:
                 routed = spec.check(comp)
                 b = [(o.name, o.holds, o.detail) for o in routed.outcomes]
-                for mode in ("compiled", "lattice"):
-                    walked = spec.check(comp, temporal_mode=mode)
-                    a = [(o.name, o.holds, o.detail) for o in walked.outcomes]
-                    if a != b:
-                        mismatches.append((name, mode, a, b))
+                walked = spec.check(comp, temporal_mode="lattice")
+                a = [(o.name, o.holds, o.detail) for o in walked.outcomes]
+                if a != b:
+                    mismatches.append((name, a, b))
         assert not mismatches, mismatches[:3]
 
     def test_random_restrictions_200_seeds(self):
@@ -117,7 +116,7 @@ class TestDifferentialSweep:
                                         with_groups=False)
             art = CheckerArtifact(recipe, rng.randrange(2 ** 32))
             comp = recipe.build()
-            message = check_slice_agrees(comp, art.restriction(comp))
+            message = check_routes_agree(comp, art.restriction(comp))
             checked += 1
             if message is not None:
                 failures.append((seed, message))
@@ -138,7 +137,7 @@ class TestDifferentialSweep:
             comp = recipe.build()
             body = art.restriction(comp).formula.body
             restriction = Restriction("fuzz-eventually", Eventually(body))
-            message = check_slice_agrees(comp, restriction)
+            message = check_routes_agree(comp, restriction)
             if message is not None:
                 failures.append((seed, message))
         assert not failures, failures[:5]
@@ -325,7 +324,7 @@ class TestRouting:
     def test_slice_off_leaves_counters_zero(self):
         """The single-route modes never consult the slice."""
         spec, comp = projected_case("monitor-readers-writers")
-        for mode in ("compiled", "lattice", "exact"):
+        for mode in ("lattice", "exact"):
             result = check_computation(comp, spec, temporal_mode=mode)
             assert result.slice_hits == 0, mode
             assert result.slice_fallbacks == 0, mode
@@ -333,10 +332,9 @@ class TestRouting:
 
     def test_cap_error_mentions_the_slice_remedy(self):
         spec, comp = projected_case("monitor-one-slot-buffer")
-        for mode in ("compiled", "lattice"):
-            with pytest.raises(Exception, match="decided on the slice"):
-                check_computation(comp, spec, temporal_mode=mode,
-                                  history_cap=1)
+        with pytest.raises(Exception, match="decided on the slice"):
+            check_computation(comp, spec, temporal_mode="lattice",
+                              history_cap=1)
 
 
 class TestEngineCounters:
@@ -415,13 +413,13 @@ class TestExactnessRegression:
 
 class TestSliceOracle:
     def test_registered_in_the_catalog(self):
-        assert "slice-differential" in oracle_names()
+        assert "route-differential" in oracle_names()
 
     def test_clean_pass_on_a_catalog_projection(self):
         spec, comp = projected_case("monitor-readers-writers")
         for r in spec.all_restrictions():
             if r.formula.is_temporal():
-                assert check_slice_agrees(comp, r) is None, r.name
+                assert check_routes_agree(comp, r) is None, r.name
 
     def test_kills_a_lying_slice_mutant(self):
         rng = random.Random(5)
@@ -436,7 +434,7 @@ class TestSliceOracle:
             return RestrictionOutcome(r.name, not honest.holds,
                                       "mutant verdict")
 
-        message = check_slice_agrees(comp, restriction, slice_check=lying)
+        message = check_routes_agree(comp, restriction, auto_check=lying)
         assert message is not None and "disagrees" in message
 
 
