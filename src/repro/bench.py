@@ -1,38 +1,46 @@
 """Slice/serve/POR/DFA/objects benchmarks behind ``repro bench`` (docs/PERF.md).
 
-Measures the computation slice (:mod:`repro.core.slice`, S9 -- the
-bare slice analysis vs the walked lattice on a regular implication
-that holds everywhere, so the walk cannot short-circuit, on the S1
-chains-with-cross-talk computations), the serve daemon's
-warm-resubmission win over the per-invocation engine path
-(:mod:`repro.serve`, S8 -- a real daemon on an ephemeral port,
-signatures asserted identical to one-shot), the partial-order
-reduction's schedule savings (:mod:`repro.engine.por`, S7 -- reduced
-vs full exploration on the unreduced readers/writers and
-bounded-buffer monitors), the restriction-automata monitor and the
-consistency deciders, and writes the results as JSON.  The JSON file
-doubles as the committed regression baseline (``BENCH_checker.json``):
-when the output file already exists, the run first *gates* against it
--- a gated workload whose ratio (full-vs-reduced schedule count for
-the ``por:*`` rows, interpreter visits over slice steps for the
-``slice:*`` rows) drops by more than ``GATE_TOLERANCE`` fails the run
-and leaves the baseline untouched.  Comparing *ratios* rather than
-wall-clock seconds keeps the gate meaningful across machines of
-different speeds -- the POR, slice and objects rows' ratios are work
-counts, deterministic on any machine.  The ``serve:warm`` in-run floor
-(:data:`SERVE_GATE_MIN`) fails the run the same way, after every suite
-has run and printed.
+Each suite measures one fast path against the slower route it
+replaces, and each gated row gates on a deterministic *work* ratio,
+so the gate reads the same on any machine and cannot flake on timer
+noise.  Wall times ride along as ungated context, measured once.
 
-Every measurement is a correctness check before it is a timer: the
-sliced verdict is asserted equal to the walked one, the daemon
-reports signature-equal to the one-shot engine, and the reduced
-exploration's computation fingerprint set equal to the full one's,
-before any number is reported.
+* ``slice:*`` -- the computation slice (:mod:`repro.core.slice`, S9)
+  against the walked lattice on a regular implication that holds
+  everywhere, on the S1 chains-with-cross-talk computations:
+  interpreter visits over slice steps.
+* ``serve:*`` -- the serve daemon (:mod:`repro.serve`, S8) against the
+  per-invocation engine: a real daemon on an ephemeral port, checked
+  on work -- the cold job checks every distinct computation once, the
+  warm job re-checks nothing and answers every run from resident
+  outcomes.
+* ``por:*`` -- the partial-order reduction (:mod:`repro.engine.por`,
+  S7): full over reduced schedule counts on the unreduced monitor and
+  db-update explorations.
+* ``dfa:*`` -- the exploration monitor (:mod:`repro.core.automata`,
+  S11): backend restriction decisions without it over monitor probes
+  plus backend decisions with it, end to end through
+  ``verify_program``.
+* ``objects:*`` -- the consistency deciders (S12): permutations the
+  brute-force oracle examines over states the memoised search expands.
+
+Every measurement is a correctness check before it is a number: the
+sliced verdict equals the walked one, the daemon's and the monitored
+report signatures equal the one-shot unmonitored engine's, the reduced
+exploration's fingerprint set equals the full one's, and the search's
+verdict equals the oracle's.  Only those checks are asserts.
+
+Every gate miss is a ``REGRESSION:`` line that :func:`gate_misses`
+collects after every suite has run and printed, and any miss exits 1:
+a row that fails its in-run work checks (:func:`in_run_misses`), a
+gated row that lost more than :data:`GATE_TOLERANCE` of its baseline
+ratio, and, on a full unfiltered run, a gated baseline row the run did
+not produce.  The JSON the run writes doubles as the committed baseline
+(``BENCH_checker.json``); a run that misses never rewrites it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -67,14 +75,11 @@ def build_chain_workload(chains: int, length: int, cross_every: int = 2):
     return b.freeze()
 
 
-def _best_of(repeats: int, fn: Callable[[], object]) -> Tuple[float, object]:
-    best = float("inf")
-    result = None
-    for _ in range(max(repeats, 1)):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+def _timed(fn: Callable[[], object]) -> Tuple[float, object]:
+    """``fn()``'s wall time (context only, never gated) and result."""
+    t0 = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - t0, result
 
 
 #: (name, chains, length, gated) for the ``slice:`` rows.  Small sizes
@@ -100,21 +105,20 @@ def slice_restriction():
         Exists("x", "chain0.Step", Occurred("x")))))
 
 
-def run_slice_bench(quick: bool = False, repeats: int = 3,
+def run_slice_bench(quick: bool = False,
                     history_cap: int = 5_000_000) -> Dict[str, dict]:
     """The bare slice analysis vs the walked lattice per S9 workload.
 
     Runs :meth:`repro.core.slice.SliceChecker.analyze` on a fresh
     checker -- the slice route of the ``auto`` chain, without the DFA
-    leaf ahead of it.  Correctness before measuring: the slice must
-    decide (a silent decline would measure nothing) and equal the
-    walked verdict.  The gated ``speedup`` is the *work* ratio --
-    (formula, history) pairs the interpreter visits over the slice's
-    evaluation steps -- which is deterministic, so the baseline gate
-    cannot flake on timer noise or move with the interpreter's speed.
-    Wall times ride along as context.
+    leaf ahead of it -- and the lattice interpreter on the same
+    computation.  A decided slice verdict must equal the walked one.
+    The gated ``speedup`` is (formula, history) pairs the interpreter
+    visits over the steps the route chain takes with the slice: its
+    evaluation steps, plus the interpreter's visits when it declines
+    and the chain walks after it.
     """
-    from .core.checker import LatticeChecker, check_restriction
+    from .core.checker import LatticeChecker
     from .core.slice import SliceChecker
 
     restriction = slice_restriction()
@@ -123,64 +127,41 @@ def run_slice_bench(quick: bool = False, repeats: int = 3,
     for name, chains, length, gated in workloads:
         comp = build_chain_workload(chains, length)
         slicer = SliceChecker(comp)
-        analysis = slicer.analyze(restriction)
-        assert analysis.kind == "linear", (
-            f"{name}: expected a linear slice, {analysis.kind}")
+        sliced_s, analysis = _timed(lambda: slicer.analyze(restriction))
         lattice = LatticeChecker(comp, history_cap)
-        walked = lattice.holds(restriction.formula)
-        assert analysis.verdict == walked, (
+        walk_s, walked = _timed(lambda: lattice.holds(restriction.formula))
+        assert not analysis.exact or analysis.verdict == walked, (
             f"{name}: sliced verdict {analysis.verdict} != walked {walked}")
-        walk_s, _ = _best_of(repeats, lambda: check_restriction(
-            comp, restriction, temporal_mode="lattice",
-            history_cap=history_cap))
-
-        def slice_once():
-            # a fresh computation per repeat so the timing includes the
-            # classification and cube construction (no warm slicer)
-            fresh = build_chain_workload(chains, length)
-            return SliceChecker(fresh).analyze(restriction).verdict
-
-        sliced_s, _ = _best_of(repeats, slice_once)
+        sliced_work = slicer.visited + (
+            0 if analysis.exact else lattice.visited)
         results[name] = {
             "chains": chains,
             "length": length,
             "gate": gated,
             "lattice_visits": lattice.visited,
-            "slice_visits": slicer.visited,
+            "slice_visits": sliced_work,
             "lattice_s": round(walk_s, 6),
             "sliced_s": round(sliced_s, 6),
-            "speedup": round(lattice.visited / slicer.visited, 2),
+            "speedup": round(lattice.visited / sliced_work, 2),
         }
     return results
 
 
-#: Minimum one-shot-vs-warm-daemon ratio for the ``serve:warm`` row --
-#: an absolute floor asserted on every run.  A resident daemon whose
-#: warm resubmission is not at least this much faster than re-running
-#: the engine from scratch is not earning its memory footprint.
-SERVE_GATE_MIN = 3.0
-
-
-def run_serve_bench(repeats: int = 3) -> Dict[str, dict]:
+def run_serve_bench() -> Dict[str, dict]:
     """Warm-daemon resubmission vs the per-invocation engine path.
 
     Boots a real daemon (background thread, ephemeral port), submits
-    the monitor bounded-buffer case cold, then resubmits it warm
-    (``repeats`` times, best-of): the warm run answers from the hot
-    resident state and the shared result cache, so its wall time is
-    exploration plus cache replay -- no spec-plan compilation, no
-    restriction checks.  The daemon's report signature is asserted
-    byte-identical to the one-shot engine's before any number is
-    reported.  ``serve:warm`` must beat the one-shot time by
-    :data:`SERVE_GATE_MIN` on every run; :func:`run_bench` reports a
-    miss as a regression after every other suite has run.
-
-    Neither ratio is baseline-gated: dividing the one-shot time by a
-    warm time that does not move, ``serve:warm`` would fall with every
-    one-shot speedup.  The daemon is gated on work counters instead --
-    the cold job checks every distinct computation, the warm job
-    re-checks nothing and answers every run from resident outcomes
-    (worker memo or shared cache) -- with the times as context.
+    the monitor bounded-buffer case cold, then resubmits it warm: the
+    warm run answers from the hot resident state and the shared result
+    cache -- no spec-plan compilation, no restriction checks.  The
+    daemon's report signatures are asserted byte-identical to the
+    one-shot engine's.  The rows gate on the daemon's work counters
+    (:func:`in_run_misses`): the cold job checks each distinct
+    computation once, and the warm job re-checks nothing and answers
+    every run from resident outcomes (worker memo or shared cache).
+    The wall-time ratios are context: dividing the one-shot time by a
+    warm time that does not move, ``serve:warm`` falls with every
+    one-shot speedup.
     """
     from .serve.daemon import start_in_thread
     from .serve.client import ServeClient
@@ -191,7 +172,7 @@ def run_serve_bench(repeats: int = 3) -> Dict[str, dict]:
     from .verify import verify_program
 
     system = bounded_buffer_system(capacity=2, items=(1, 2, 3))
-    oneshot_s, report = _best_of(repeats, lambda: verify_program(
+    oneshot_s, report = _timed(lambda: verify_program(
         MonitorProgram(system),
         bounded_buffer.bounded_buffer_spec(2),
         bounded_buffer.monitor_correspondence("bb"),
@@ -201,94 +182,85 @@ def run_serve_bench(repeats: int = 3) -> Dict[str, dict]:
     try:
         client = ServeClient(port=handle.port)
         spec = {"case": "monitor-bounded-buffer"}
-
-        t0 = time.perf_counter()
-        cold = client.verify(spec, timeout=300)
-        cold_s = time.perf_counter() - t0
-        assert cold["state"] == "done", f"cold job ended {cold['state']}"
-
-        def warm_once():
-            snap = client.verify(spec, timeout=300)
-            assert snap["state"] == "done", f"warm job ended {snap['state']}"
-            return snap
-
-        warm_s, warm = _best_of(repeats, warm_once)
+        cold_s, cold = _timed(lambda: client.verify(spec, timeout=300))
+        warm_s, warm = _timed(lambda: client.verify(spec, timeout=300))
     finally:
         handle.stop()
 
     expected = signature_json(report.signature())
     for label, snap in (("cold", cold), ("warm", warm)):
+        assert snap["state"] == "done", f"{label} job ended {snap['state']}"
         assert snap["result"]["signature"] == expected, (
             f"serve: {label} daemon signature differs from the one-shot "
             f"engine's")
     cold_stats = cold["result"]["stats"]
     warm_stats = warm["result"]["stats"]
-    assert cold_stats["checks_performed"] == cold_stats[
-        "distinct_computations"], (
-        "serve: the cold job did not check every distinct computation")
-    assert warm_stats["checks_performed"] == 0, (
-        "serve: warm resubmission recomputed outcomes instead of "
-        "replaying the shared cache")
-    # the resident worker's memo answers before the shared cache does,
-    # so warm hits may be attributed to either counter
-    reused = warm_stats["cache_hits"] + warm_stats["dedupe_hits"]
-    assert reused == warm_stats["runs"], (
-        f"serve: warm resubmission answered {reused} of "
-        f"{warm_stats['runs']} run(s) from resident outcomes")
-    warm_speedup = oneshot_s / warm_s
     return {
         "serve:cold": {
             "gate": False,
+            "checks": cold_stats["checks_performed"],
+            "distinct": cold_stats["distinct_computations"],
             "oneshot_s": round(oneshot_s, 6),
             "serve_s": round(cold_s, 6),
             "speedup": round(oneshot_s / cold_s, 2),
         },
         "serve:warm": {
             "gate": False,
+            "checks": warm_stats["checks_performed"],
+            # the resident worker's memo answers before the shared cache
+            # does, so warm hits may be attributed to either counter
+            "reused": warm_stats["cache_hits"] + warm_stats["dedupe_hits"],
+            "runs": warm_stats["runs"],
             "oneshot_s": round(oneshot_s, 6),
             "serve_s": round(warm_s, 6),
-            "speedup": round(warm_speedup, 2),
+            "speedup": round(oneshot_s / warm_s, 2),
         },
     }
 
 
-#: Minimum full-vs-reduced schedule ratio for gated ``por:*`` rows --
-#: an absolute floor asserted on every run, independent of the
-#: baseline-relative gate.
+#: Minimum full-vs-reduced schedule ratio for gated ``por:*`` rows.
 POR_GATE_MIN = 3.0
 
-#: (name, builder args, gated).  The ablation (``eager_reductions=
-#: False``) configurations: with eager reductions on, the monitor
-#: explorations are already canonical (runs == distinct computations)
-#: and a sound POR has nothing to prune -- the reduction's value shows
-#: on the raw interleaving explosion.  Sizes are the largest whose
-#: *full* exploration stays in seconds (the S3 bb depth itself runs to
-#: millions of schedules unreduced).
+#: (name, builder kind, gated).  The monitor rows run the ablation
+#: (``eager_reductions=False``) configurations: with eager reductions
+#: on, the monitor explorations are already canonical (runs == distinct
+#: computations) and a sound POR has nothing to prune -- the
+#: reduction's value shows on the raw interleaving explosion.  Sizes are
+#: the largest whose *full* exploration stays in seconds.  db-update has
+#: no eager reductions; its reduction is real but modest (delivers
+#: commute only in the endgame), so it is reported, not gated.
 POR_WORKLOADS: Tuple[Tuple[str, str, bool], ...] = (
     ("por:readers-writers", "rw", True),
+    ("por:db-update", "db", False),
+    ("por:one-slot-buffer", "osb", True),
     ("por:bounded-buffer", "bb", True),
 )
-QUICK_POR_WORKLOADS = POR_WORKLOADS[:1]
+QUICK_POR_WORKLOADS = POR_WORKLOADS[:2]
 
 
 def _por_program(kind: str):
     from .langs.monitor import (MonitorProgram, bounded_buffer_system,
+                                one_slot_buffer_system,
                                 readers_writers_system)
+    from .problems.db_update import DbUpdateProgram, standard_requests
 
-    if kind == "rw":
-        return MonitorProgram(readers_writers_system(1, 1),
-                              eager_reductions=False)
-    return MonitorProgram(bounded_buffer_system(capacity=2, items=(1, 2)),
-                          eager_reductions=False)
+    if kind == "db":
+        return DbUpdateProgram(3, standard_requests(n_clients=2, n_sites=3))
+    system = {
+        "rw": lambda: readers_writers_system(1, 1),
+        "osb": lambda: one_slot_buffer_system(items=(1, 2)),
+        "bb": lambda: bounded_buffer_system(capacity=2, items=(1, 2)),
+    }[kind]()
+    return MonitorProgram(system, eager_reductions=False)
 
 
 def run_por_bench(quick: bool = False,
                   max_runs: int = 200_000) -> Dict[str, dict]:
     """Full vs POR-reduced exploration: schedule counts and wall time.
 
-    Asserts the soundness contract before reporting: identical
-    computation-fingerprint sets, and at least :data:`POR_GATE_MIN`
-    times fewer schedules on every gated workload.
+    Asserts the soundness contract before reporting: the reduced
+    exploration's computation-fingerprint set equals the full one's.
+    A gated row's ratio must clear :data:`POR_GATE_MIN`.
     """
     from .engine.por import AmpleSelector
     from .sim.scheduler import explore
@@ -296,22 +268,15 @@ def run_por_bench(quick: bool = False,
     workloads = QUICK_POR_WORKLOADS if quick else POR_WORKLOADS
     results: Dict[str, dict] = {}
     for name, kind, gated in workloads:
-        t0 = time.perf_counter()
-        full = list(explore(_por_program(kind), max_runs=max_runs))
-        full_s = time.perf_counter() - t0
+        full_s, full = _timed(lambda: list(
+            explore(_por_program(kind), max_runs=max_runs)))
         selector = AmpleSelector()
-        t0 = time.perf_counter()
-        reduced = list(explore(_por_program(kind), max_runs=max_runs,
-                               por=selector))
-        por_s = time.perf_counter() - t0
+        por_s, reduced = _timed(lambda: list(
+            explore(_por_program(kind), max_runs=max_runs, por=selector)))
         full_fps = {r.computation.stable_fingerprint() for r in full}
         por_fps = {r.computation.stable_fingerprint() for r in reduced}
         assert full_fps == por_fps, (
             f"{name}: reduced fingerprint set differs from full")
-        ratio = len(full) / len(reduced)
-        assert not gated or ratio >= POR_GATE_MIN, (
-            f"{name}: reduction {ratio:.1f}x is below the "
-            f"{POR_GATE_MIN:.0f}x floor")
         results[name] = {
             "gate": gated,
             "full_runs": len(full),
@@ -319,21 +284,44 @@ def run_por_bench(quick: bool = False,
             "pruned_branches": selector.pruned,
             "full_s": round(full_s, 6),
             "por_s": round(por_s, 6),
-            "speedup": round(ratio, 2),
+            "speedup": round(len(full) / len(reduced), 2),
         }
     return results
 
 
-#: Minimum no-monitor-vs-monitored explore+check ratio for the gated
-#: ``dfa:early-violation`` row -- an absolute floor asserted on every
-#: run, independent of the baseline-relative gate.
-DFA_GATE_MIN = 5.0
+def _dfa_row(program: Callable[[], object], spec, correspondence) -> dict:
+    """``verify_program`` with the exploration monitor off, then on.
 
-#: Minimum end-to-end ``verify_program`` ratio (dfa off vs on) for the
-#: gated ``dfa:noeager`` row.  Smaller than the synthetic row's floor
-#: because a full verification also pays exploration, projection and
-#: legality checking on both sides.
-DFA_NOEAGER_GATE_MIN = 1.2
+    The signatures must be equal and the verdict a failure (both
+    workloads violate their □).  The gated ``speedup`` is the backend
+    restriction decisions (slice hits and fallbacks) without the
+    monitor over the monitor's probes plus the backend decisions left
+    with it: what the monitor's early verdicts save, net of what they
+    cost.
+    """
+    from .verify import verify_program
+
+    nodfa_s, off = _timed(lambda: verify_program(
+        program(), spec, correspondence, dfa=False))
+    dfa_s, on = _timed(lambda: verify_program(
+        program(), spec, correspondence, dfa=True))
+    assert off.signature() == on.signature(), (
+        "report signature differs with the monitor on")
+    assert not on.ok, "the violating workload verified"
+    nodfa, dfa = off.engine_stats, on.engine_stats
+    nodfa_decisions = nodfa.slice_hits + nodfa.slice_fallbacks
+    dfa_decisions = dfa.slice_hits + dfa.slice_fallbacks
+    return {
+        "gate": True,
+        "cuts": dfa.dfa_cuts,
+        "probes": dfa.dfa_probes,
+        "nodfa_decisions": nodfa_decisions,
+        "dfa_decisions": dfa_decisions,
+        "nodfa_s": round(nodfa_s, 6),
+        "dfa_s": round(dfa_s, 6),
+        "speedup": round(
+            nodfa_decisions / (dfa.dfa_probes + dfa_decisions), 2),
+    }
 
 
 def run_dfa_bench(quick: bool = False) -> Dict[str, dict]:
@@ -343,110 +331,36 @@ def run_dfa_bench(quick: bool = False) -> Dict[str, dict]:
     (:mod:`repro.problems.ring`): every branch violates the cubic □
     within a handful of steps, so the monitor decides whole subtrees
     from tiny prefixes and the per-computation check skips the walk.
-    Explore + check-every-distinct-computation, with and without the
-    monitor; fingerprint sets and verdicts are asserted equal before
-    the ratio is reported, and the ratio must clear
-    :data:`DFA_GATE_MIN` on every run.
 
-    ``dfa:noeager`` (full mode only) -- the same restriction end to
-    end: ``verify_program`` on the mutant ``monitor-tally-mesa``
-    catalog case with the exploration monitor off vs on.  Report
-    signatures are asserted byte-identical and the speedup must clear
-    :data:`DFA_NOEAGER_GATE_MIN`.
+    ``dfa:noeager`` (full mode only) -- the same restriction on the
+    mutant ``monitor-tally-mesa`` catalog case without eager
+    reductions.  Both rows are :func:`_dfa_row`; the monitor must cut a
+    branch (:func:`in_run_misses`).
     """
-    from .core.automata import AutomatonMonitor, automata_plan_for
-    from .core.checker import check_computation
-    from .problems.ring import RingProgram, ring_spec
-    from .sim.scheduler import explore
+    from .problems.ring import (RingProgram, mark_correspondence, ring_spec,
+                                tally_spec)
 
-    results: Dict[str, dict] = {}
-    spec = ring_spec()
-    program = RingProgram(workers=2, rounds=4)
+    results = {"dfa:early-violation": _dfa_row(
+        lambda: RingProgram(workers=2, rounds=4), ring_spec(),
+        mark_correspondence())}
+    if not quick:
+        from .langs.monitor import MonitorProgram, tally_system
 
-    def census(with_monitor: bool):
-        monitor = (AutomatonMonitor(automata_plan_for(spec), spec)
-                   if with_monitor else None)
-        t0 = time.perf_counter()
-        verdicts = {}
-        for run in explore(program, dfa=monitor):
-            fp = run.computation.stable_fingerprint()
-            if fp in verdicts:
-                continue
-            verdicts[fp] = check_computation(
-                run.computation, spec,
-                decided=dict(run.decided) if with_monitor else None).ok
-        return time.perf_counter() - t0, verdicts, monitor
-
-    plain_s, plain, _ = census(False)
-    dfa_s, decided, monitor = census(True)
-    assert set(plain) == set(decided), (
-        "dfa:early-violation: monitored fingerprint set differs from "
-        "unmonitored")
-    assert plain == decided, (
-        "dfa:early-violation: monitored verdicts differ from unmonitored")
-    assert monitor.cuts > 0, (
-        "dfa:early-violation: the monitor cut no branches")
-    ratio = plain_s / dfa_s
-    assert ratio >= DFA_GATE_MIN, (
-        f"dfa:early-violation: {ratio:.1f}x is below the "
-        f"{DFA_GATE_MIN:.0f}x floor")
-    results["dfa:early-violation"] = {
-        "gate": True,
-        "distinct": len(plain),
-        "cuts": monitor.cuts,
-        "nodfa_s": round(plain_s, 6),
-        "dfa_s": round(dfa_s, 6),
-        "speedup": round(ratio, 2),
-    }
-    if quick:
-        return results
-
-    from .langs.monitor import MonitorProgram, tally_system
-    from .problems.ring import mark_correspondence, tally_spec
-    from .verify import verify_program
-
-    def end_to_end(dfa: bool):
-        return verify_program(
-            MonitorProgram(tally_system(2, 3, mutant=True),
-                           eager_reductions=False, semantics="mesa"),
-            tally_spec(2), mark_correspondence(), dfa=dfa)
-
-    t0 = time.perf_counter()
-    off = end_to_end(False)
-    nodfa_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    on = end_to_end(True)
-    with_s = time.perf_counter() - t0
-    assert off.signature() == on.signature(), (
-        "dfa:noeager: report signature differs with the monitor on")
-    assert not on.ok, "dfa:noeager: the mutant must be caught"
-    assert on.engine_stats.dfa_cuts > 0, (
-        "dfa:noeager: the monitor cut no branches")
-    e2e_ratio = nodfa_s / with_s
-    assert e2e_ratio >= DFA_NOEAGER_GATE_MIN, (
-        f"dfa:noeager: {e2e_ratio:.2f}x end-to-end is below the "
-        f"{DFA_NOEAGER_GATE_MIN:.1f}x floor")
-    results["dfa:noeager"] = {
-        "gate": True,
-        "cuts": on.engine_stats.dfa_cuts,
-        "nodfa_s": round(nodfa_s, 6),
-        "dfa_s": round(with_s, 6),
-        "speedup": round(e2e_ratio, 2),
-    }
+        results["dfa:noeager"] = _dfa_row(
+            lambda: MonitorProgram(tally_system(2, 3, mutant=True),
+                                   eager_reductions=False,
+                                   semantics="mesa"),
+            tally_spec(2), mark_correspondence())
     return results
 
 
 #: Minimum memoised-search-vs-brute-force *work* ratio (permutations
 #: examined by the oracle / states expanded by the search) for the
-#: gated ``objects:witness-*`` rows -- an absolute floor asserted on
-#: every run.  The memoised witness search is exponential in
-#: operations where the permutation oracle is factorial, so on the
-#: 8-operation bench histories the gap is two to three orders of
-#: magnitude; the floor only guards against the search degenerating
-#: into the oracle it is supposed to dominate.  Like the POR rows'
-#: run-count ratios, the work ratio is deterministic on any machine,
-#: which is what makes the baseline gate meaningful; wall times ride
-#: along as context.
+#: gated ``objects:witness-*`` rows.  The memoised witness search is
+#: exponential in operations where the permutation oracle is factorial,
+#: so on the 8-operation bench histories the gap is two to three orders
+#: of magnitude; the floor only guards against the search degenerating
+#: into the oracle it is supposed to dominate.
 OBJECTS_GATE_MIN = 25.0
 
 #: (row name, object type, history seed).  The seeds are pinned to
@@ -460,21 +374,16 @@ OBJECTS_WORKLOADS: Tuple[Tuple[str, str, int], ...] = (
 QUICK_OBJECTS_WORKLOADS = OBJECTS_WORKLOADS[:1]
 
 
-def run_objects_bench(quick: bool = False,
-                      repeats: int = 3) -> Dict[str, dict]:
+def run_objects_bench(quick: bool = False) -> Dict[str, dict]:
     """Consistency-checking benchmarks (S12, ``docs/OBJECTS.md``).
 
     ``objects:witness-*`` (gated): the production memoised witness
     search (:func:`repro.verify.consistency.linearizable`) against the
     brute-force permutation oracle on a pinned seeded 8-operation
-    history.  Verdict equality is asserted before any measurement, and
-    the gated ``speedup`` is the *work* ratio -- permutations examined
-    by the oracle over states expanded by the search -- which is
-    deterministic for the pinned history, so the baseline comparison
-    cannot flake on timer noise.  It must clear
-    :data:`OBJECTS_GATE_MIN` on every run.  Wall times for both sides
-    are reported as context (the search is timed over a batch; single
-    calls are microseconds).
+    history.  Verdict equality is asserted, and the gated ``speedup``
+    is the work ratio -- permutations examined by the oracle over
+    states expanded by the search -- which must clear
+    :data:`OBJECTS_GATE_MIN`.
 
     ``objects:verify-catalog`` (informational): end-to-end
     ``verify_program`` wall time over the four correct object workloads
@@ -496,28 +405,17 @@ def run_objects_bench(quick: bool = False,
         history = random_object_history(
             _random.Random(seed), object_type, n_procs=2, ops_per_proc=4,
             corrupt=True)
-        fast, slow = linearizable(history), brute_force_linearizable(history)
+        mark = decider_work()
+        search_s, fast = _timed(lambda: linearizable(history))
+        brute_s, slow = _timed(lambda: brute_force_linearizable(history))
+        work = decider_work()
         assert fast == slow, (
             f"{name}: witness search says {fast}, brute force says {slow}")
         assert not slow, (
             f"{name}: pinned history became linearizable; the brute-force "
             f"side would exit early and the ratio would be meaningless")
-        mark = decider_work()
-        linearizable(history)
-        brute_force_linearizable(history)
-        work = decider_work()
         search_nodes = work["search_nodes"] - mark["search_nodes"]
         brute_perms = work["brute_perms"] - mark["brute_perms"]
-        ratio = brute_perms / search_nodes
-        assert ratio >= OBJECTS_GATE_MIN, (
-            f"{name}: {ratio:.1f}x over the permutation oracle is below "
-            f"the {OBJECTS_GATE_MIN:.0f}x floor")
-        batch = 200
-        search_s, _ = _best_of(repeats, lambda: [
-            linearizable(history) for _ in range(batch)])
-        search_s /= batch
-        brute_s, _ = _best_of(repeats,
-                              lambda: brute_force_linearizable(history))
         results[name] = {
             "gate": True,
             "ops": len(history.ops),
@@ -525,7 +423,7 @@ def run_objects_bench(quick: bool = False,
             "brute_perms": brute_perms,
             "brute_s": round(brute_s, 6),
             "search_s": round(search_s, 6),
-            "speedup": round(ratio, 2),
+            "speedup": round(brute_perms / search_nodes, 2),
         }
 
     if not quick:
@@ -540,7 +438,7 @@ def run_objects_bench(quick: bool = False,
                     f"objects:verify-catalog: correct {object_type} "
                     f"workload failed verification")
 
-        verify_s, _ = _best_of(1, verify_all)
+        verify_s, _ = _timed(verify_all)
         results["objects:verify-catalog"] = {
             "gate": False,
             "cases": 4,
@@ -549,34 +447,62 @@ def run_objects_bench(quick: bool = False,
     return results
 
 
-def compare_to_baseline(results: Dict[str, dict], baseline: dict,
-                        tolerance: float = GATE_TOLERANCE) -> List[str]:
-    """Regression messages for gated workloads present in both runs."""
-    regressions: List[str] = []
-    base_workloads = baseline.get("workloads", {})
+#: In-run floors on gated work ratios, by row-name prefix.
+WORK_FLOORS = {"por:": POR_GATE_MIN, "objects:witness-": OBJECTS_GATE_MIN}
+
+
+def in_run_misses(name: str, row: dict) -> List[str]:
+    """A row's in-run work checks, bound on every run whatever the
+    baseline says: one message per miss, read off the work counts the
+    row records."""
+    misses: List[str] = []
+    for prefix, minimum in WORK_FLOORS.items():
+        if name.startswith(prefix) and row["gate"] and (
+                row["speedup"] < minimum):
+            misses.append(f"work ratio {row['speedup']}x is below the "
+                          f"{minimum:g}x floor")
+    if name.startswith("dfa:") and not row["cuts"]:
+        misses.append("the monitor cut no branches")
+    if name == "serve:cold" and row["checks"] != row["distinct"]:
+        misses.append(f"checked {row['checks']} time(s) for "
+                      f"{row['distinct']} distinct computation(s)")
+    if name == "serve:warm":
+        if row["checks"]:
+            misses.append(f"re-checked {row['checks']} computation(s)")
+        if row["reused"] != row["runs"]:
+            misses.append(f"answered {row['reused']} of {row['runs']} "
+                          f"run(s) from resident outcomes")
+    return misses
+
+
+def gate_misses(results: Dict[str, dict], baseline: Optional[dict],
+                complete: bool,
+                tolerance: float = GATE_TOLERANCE) -> List[str]:
+    """Every gate miss of a run, as ``REGRESSION:`` message bodies.
+
+    Each row's in-run work checks; each gated row whose ratio lost more
+    than ``tolerance`` of its baseline ratio; and, when the run is
+    ``complete`` (full, unfiltered), each gated baseline row the run
+    did not produce.
+    """
+    misses: List[str] = []
+    base_rows = (baseline or {}).get("workloads", {})
     for name, row in results.items():
-        if not row.get("gate"):
-            continue
-        base = base_workloads.get(name)
-        if base is None or "speedup" not in base:
+        misses += [f"{name}: {miss}" for miss in in_run_misses(name, row)]
+        base = base_rows.get(name)
+        if not row["gate"] or base is None or "speedup" not in base:
             continue
         floor = base["speedup"] * (1.0 - tolerance)
         if row["speedup"] < floor:
-            regressions.append(
+            misses.append(
                 f"{name}: speedup {row['speedup']}x is more than "
                 f"{tolerance:.0%} below the baseline {base['speedup']}x "
                 f"(floor {floor:.2f}x)")
-    return regressions
-
-
-def floor_misses(results: Dict[str, dict]) -> List[str]:
-    """Regression messages for rows below their in-run floor, baseline
-    or not: today only ``serve:warm`` against :data:`SERVE_GATE_MIN`."""
-    row = results.get("serve:warm")
-    if row is None or row["speedup"] >= SERVE_GATE_MIN:
-        return []
-    return [f"serve:warm: {row['speedup']:.1f}x over the per-invocation "
-            f"path is below the {SERVE_GATE_MIN:.0f}x floor"]
+    if complete:
+        misses += [f"{name}: gated in the baseline but not produced"
+                   for name, base in base_rows.items()
+                   if base.get("gate") and name not in results]
+    return misses
 
 
 def _suite_selected(only: Optional[str], prefix: str) -> bool:
@@ -584,31 +510,65 @@ def _suite_selected(only: Optional[str], prefix: str) -> bool:
     return only is None or prefix.startswith(only) or only.startswith(prefix)
 
 
+def _row_line(name: str, row: dict) -> str:
+    """One printed row: its work, its wall-time context, its ratio."""
+    if "full_runs" in row:
+        body = (f"full {row['full_runs']} runs ({row['full_s']:.4f}s)   "
+                f"por {row['por_runs']} runs ({row['por_s']:.4f}s)   "
+                f"reduction {row['speedup']}x")
+    elif "sliced_s" in row:
+        body = (f"walked {row['lattice_visits']} visits "
+                f"({row['lattice_s']:.4f}s)   sliced {row['slice_visits']} "
+                f"steps ({row['sliced_s']:.4f}s)   "
+                f"work ratio {row['speedup']}x")
+    elif "serve_s" in row:
+        work = (f"{row['checks']} check(s), {row['reused']}/{row['runs']} "
+                f"run(s) reused" if "runs" in row else
+                f"{row['checks']} check(s) for {row['distinct']} distinct")
+        body = (f"one-shot {row['oneshot_s']:.4f}s   daemon "
+                f"{row['serve_s']:.4f}s ({work})   "
+                f"speedup {row['speedup']}x")
+    elif "nodfa_s" in row:
+        body = (f"no-dfa {row['nodfa_decisions']} decisions "
+                f"({row['nodfa_s']:.4f}s)   dfa {row['probes']} probes + "
+                f"{row['dfa_decisions']} decisions ({row['dfa_s']:.4f}s, "
+                f"{row['cuts']} cut(s))   work ratio {row['speedup']}x")
+    elif "brute_s" in row:
+        body = (f"brute-force {row['brute_perms']} perms "
+                f"({row['brute_s']:.4f}s)   search {row['search_nodes']} "
+                f"nodes ({row['search_s']:.6f}s, {row['ops']} op(s))   "
+                f"work ratio {row['speedup']}x")
+    else:
+        body = f"verified {row['cases']} case(s) in {row['verify_s']:.4f}s"
+    # every row says whether its ratio participates in the baseline gate
+    return f"{name:18s} {body}   {'[gated]' if row['gate'] else '[info]'}"
+
+
 def run_bench(quick: bool = False, json_path: Optional[str] = None,
-              baseline_path: Optional[str] = None, repeats: int = 3,
+              baseline_path: Optional[str] = None,
               only: Optional[str] = None, out=sys.stdout) -> int:
     """The ``repro bench`` entry point (also used by CI bench-gate).
 
     ``only`` restricts the run to rows whose name starts with that
     prefix (``--only por``, ``--only dfa:noeager``); suites that cannot
-    produce a matching row are skipped entirely, and the gated/info
-    summary counts the subset actually run.  With ``json_path`` the
-    rows run are merged into the file's existing ``workloads``; the
-    file's other rows keep their recorded values and gates.
+    produce a matching row are skipped entirely, and rows the filter
+    hides are neither printed nor gated.  Every row is printed before
+    any ``REGRESSION:`` line.  With ``json_path`` a full unfiltered run
+    replaces the file; a ``--quick`` or ``--only`` run merges the rows
+    it ran into the file's existing ``workloads``, and the file's other
+    rows and its header keep their recorded values.
     """
     results: Dict[str, dict] = {}
     if _suite_selected(only, "slice:"):
-        results.update(run_slice_bench(quick=quick, repeats=repeats))
+        results.update(run_slice_bench(quick=quick))
     if not quick and _suite_selected(only, "serve:"):
-        results.update(run_serve_bench(repeats=repeats))
+        results.update(run_serve_bench())
     if _suite_selected(only, "por:"):
         results.update(run_por_bench(quick=quick))
     if _suite_selected(only, "dfa:"):
         results.update(run_dfa_bench(quick=quick))
     if _suite_selected(only, "objects:"):
-        results.update(run_objects_bench(quick=quick, repeats=repeats))
-    # a floor binds whenever its suite ran, even if --only hides the row
-    regressions = floor_misses(results)
+        results.update(run_objects_bench(quick=quick))
     if only is not None:
         results = {name: row for name, row in results.items()
                    if name.startswith(only)}
@@ -616,38 +576,8 @@ def run_bench(quick: bool = False, json_path: Optional[str] = None,
             print(f"no bench rows match --only {only!r}", file=out)
             return 2
     for name, row in results.items():
-        # every row says whether its ratio participates in the baseline
-        # gate -- an [info] row that regresses is reported, never fatal
-        gated = "   [gated]" if row.get("gate") else "   [info]"
-        if "full_runs" in row:
-            print(f"{name:18s} full {row['full_runs']} runs "
-                  f"({row['full_s']:.4f}s)   por {row['por_runs']} runs "
-                  f"({row['por_s']:.4f}s)   reduction {row['speedup']}x"
-                  f"{gated}", file=out)
-        elif "sliced_s" in row:
-            print(f"{name:18s} walked {row['lattice_visits']} visits "
-                  f"({row['lattice_s']:.4f}s)   "
-                  f"sliced {row['slice_visits']} steps "
-                  f"({row['sliced_s']:.4f}s)   "
-                  f"work ratio {row['speedup']}x{gated}", file=out)
-        elif "serve_s" in row:
-            print(f"{name:18s} one-shot {row['oneshot_s']:.4f}s   "
-                  f"daemon {row['serve_s']:.4f}s   "
-                  f"speedup {row['speedup']}x{gated}", file=out)
-        elif "nodfa_s" in row:
-            print(f"{name:18s} no-dfa {row['nodfa_s']:.4f}s   "
-                  f"dfa {row['dfa_s']:.4f}s ({row['cuts']} cut(s))   "
-                  f"speedup {row['speedup']}x{gated}", file=out)
-        elif "brute_s" in row:
-            print(f"{name:18s} brute-force {row['brute_perms']} perms "
-                  f"({row['brute_s']:.4f}s)   "
-                  f"search {row['search_nodes']} nodes "
-                  f"({row['search_s']:.6f}s, {row['ops']} op(s))   "
-                  f"work ratio {row['speedup']}x{gated}", file=out)
-        else:
-            print(f"{name:18s} verified {row['cases']} case(s) in "
-                  f"{row['verify_s']:.4f}s{gated}", file=out)
-    n_gated = sum(1 for row in results.values() if row.get("gate"))
+        print(_row_line(name, row), file=out)
+    n_gated = sum(1 for row in results.values() if row["gate"])
     print(f"{n_gated} gated workload(s), "
           f"{len(results) - n_gated} informational", file=out)
 
@@ -655,17 +585,14 @@ def run_bench(quick: bool = False, json_path: Optional[str] = None,
     # baseline it failed against
     baseline_file = baseline_path or json_path
     baseline = None
-    if baseline_file is not None:
-        try:
-            with open(baseline_file) as fh:
-                baseline = json.load(fh)
-        except FileNotFoundError:
-            baseline = None
-    if baseline is not None:
-        regressions += compare_to_baseline(results, baseline)
-    for message in regressions:
+    if baseline_file is not None and os.path.exists(baseline_file):
+        with open(baseline_file) as fh:
+            baseline = json.load(fh)
+    partial = quick or only is not None
+    misses = gate_misses(results, baseline, complete=not partial)
+    for message in misses:
         print(f"REGRESSION: {message}", file=out)
-    if regressions:
+    if misses:
         return 1
     if baseline is not None:
         print(f"gate: no regression vs {baseline_file} "
@@ -679,8 +606,8 @@ def run_bench(quick: bool = False, json_path: Optional[str] = None,
             "gate_tolerance": GATE_TOLERANCE,
             "workloads": results,
         }
-        if only is not None and os.path.exists(json_path):
-            # a filtered run replaces only the rows it ran: every other
+        if partial and os.path.exists(json_path):
+            # a partial run replaces only the rows it ran: every other
             # row of the file, and its header, is kept verbatim
             with open(json_path) as fh:
                 existing = json.load(fh)
@@ -691,36 +618,3 @@ def run_bench(quick: bool = False, json_path: Optional[str] = None,
             fh.write("\n")
         print(f"results written to {json_path}", file=out)
     return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="slice/serve/POR/DFA/objects benchmarks with a "
-                    "regression gate")
-    parser.add_argument("--quick", action="store_true",
-                        help="small workloads only, skip the serve "
-                             "bench")
-    parser.add_argument("--json", nargs="?", const="BENCH_checker.json",
-                        default=None, metavar="FILE",
-                        help="write results as JSON (default file: "
-                             "BENCH_checker.json); if the file exists it "
-                             "is used as the regression baseline first, "
-                             "and --only replaces just the rows it ran")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="gate against this baseline instead of the "
-                             "--json target")
-    parser.add_argument("--repeats", type=int, default=3, metavar="N",
-                        help="timing repeats per measurement, best-of "
-                             "(default 3)")
-    parser.add_argument("--only", default=None, metavar="PREFIX",
-                        help="run only rows whose name starts with this "
-                             "prefix (e.g. 'por', 'dfa:noeager')")
-    args = parser.parse_args(argv)
-    return run_bench(quick=args.quick, json_path=args.json,
-                     baseline_path=args.baseline, repeats=args.repeats,
-                     only=args.only)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

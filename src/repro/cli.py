@@ -523,8 +523,7 @@ def cmd_bench(args) -> int:
     from .bench import run_bench
 
     return run_bench(quick=args.quick, json_path=args.json,
-                     baseline_path=args.baseline, repeats=args.repeats,
-                     only=args.only)
+                     baseline_path=args.baseline, only=args.only)
 
 
 def cmd_serve(args) -> int:
@@ -734,20 +733,17 @@ def main(argv=None) -> int:
         "bench", help="slice/serve/POR/DFA/objects benchmarks with a "
                       "regression gate (docs/PERF.md)")
     p_bench.add_argument("--quick", action="store_true",
-                         help="small workloads only, skip the engine bench "
-                              "and the serve bench")
+                         help="small workloads only, skip the serve "
+                              "bench")
     p_bench.add_argument("--json", nargs="?", const="BENCH_checker.json",
                          default=None, metavar="FILE",
                          help="write results as JSON (default file: "
                               "BENCH_checker.json); an existing file is "
-                              "the regression baseline first, and --only "
-                              "replaces just the rows it ran")
+                              "the regression baseline first, and a --quick "
+                              "or --only run replaces just the rows it ran")
     p_bench.add_argument("--baseline", default=None, metavar="FILE",
                          help="gate against this baseline instead of the "
                               "--json target")
-    p_bench.add_argument("--repeats", type=int, default=3, metavar="N",
-                         help="timing repeats per measurement, best-of "
-                              "(default 3)")
     p_bench.add_argument("--only", default=None, metavar="PREFIX",
                          help="run only rows whose name starts with this "
                               "prefix (e.g. 'por', 'dfa:noeager')")

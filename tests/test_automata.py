@@ -24,6 +24,7 @@ from __future__ import annotations
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -628,6 +629,64 @@ class TestDfaOracle:
 # -- the bench rows and the --only filter ------------------------------------
 
 
+BASELINE = Path(__file__).resolve().parent.parent / "BENCH_checker.json"
+
+#: The ``repro bench`` suites, in run order (``run_<name>_bench``).
+SUITES = ("slice", "serve", "por", "dfa", "objects")
+
+
+def _stub_suites(monkeypatch, keep=None):
+    """Replace every suite but ``keep`` with one informational row,
+    ``stub-<suite>``, so a test pays only for the suite it exercises."""
+    for suite in SUITES:
+        if suite != keep:
+            monkeypatch.setattr(
+                bench, f"run_{suite}_bench",
+                lambda quick=False, _name=f"stub-{suite}": {
+                    _name: {"gate": False, "cases": 1, "verify_s": 0.0}})
+
+
+def _slice_declines(monkeypatch):
+    from repro.core.slice import SliceAnalysis, SliceChecker
+
+    monkeypatch.setattr(SliceChecker, "_analyze", lambda self, r:
+                        SliceAnalysis("non-regular", None, "planted"))
+
+
+def _monitor_never_decides(monkeypatch):
+    monkeypatch.setattr(RestrictionAutomaton, "probe",
+                        lambda self, *args, **kwargs: None)
+
+
+def _por_expands_everything(monkeypatch):
+    monkeypatch.setattr(AmpleSelector, "ample", lambda self, state, actions,
+                        postponed: list(range(len(actions))))
+
+
+def _warm_daemon_rechecks(monkeypatch):
+    """Every task starts from an empty outcome memo, so the daemon
+    forgets what earlier jobs checked."""
+    from repro.engine import pool
+    from repro.engine.dedupe import DedupeIndex
+
+    check_runs = pool.check_runs
+
+    def forgetful(state, *args, **kwargs):
+        state.index = DedupeIndex()
+        return check_runs(state, *args, **kwargs)
+
+    monkeypatch.setattr(pool, "check_runs", forgetful)
+
+
+#: row -> (suite run for real, quick, planted regression)
+PLANTS = {
+    "slice:2x20": ("slice", True, _slice_declines),
+    "dfa:early-violation": ("dfa", True, _monitor_never_decides),
+    "por:readers-writers": ("por", True, _por_expands_everything),
+    "serve:warm": ("serve", False, _warm_daemon_rechecks),
+}
+
+
 class TestBenchFilter:
     def test_suite_selection_is_prefix_bidirectional(self):
         assert _suite_selected(None, "dfa:")
@@ -664,29 +723,67 @@ class TestBenchFilter:
         assert rows["slice:2x20"] == kept
         assert rows["dfa:early-violation"]["cuts"] == 20
 
-    def test_serve_floor_miss_reports_after_every_suite(self, monkeypatch):
-        """A ``serve:warm`` row below its floor fails the run, but only
-        after the ``por:*``, ``dfa:*`` and ``objects:*`` rows print."""
-        def rows(*names):
-            return lambda **_kw: {name: {"gate": False, "cases": 1,
-                                         "verify_s": 0.0}
-                                  for name in names}
+    def test_quick_json_merges_into_the_existing_file(self, monkeypatch,
+                                                      tmp_path):
+        """A ``--quick --json`` run over a full baseline keeps every row
+        it did not run, and the file's header."""
+        _stub_suites(monkeypatch)
+        path = tmp_path / "bench.json"
+        path.write_text(BASELINE.read_text())
+        before = json.loads(path.read_text())
+        assert run_bench(quick=True, json_path=str(path),
+                         out=io.StringIO()) == 0
+        after = json.loads(path.read_text())
+        assert after["quick"] is False
+        rows = after["workloads"]
+        for name, row in before["workloads"].items():
+            assert rows[name] == row, name
+        assert "stub-por" in rows
 
-        monkeypatch.setattr(bench, "run_slice_bench", rows("slice:stub"))
-        monkeypatch.setattr(bench, "run_serve_bench", lambda **_kw: {
-            "serve:warm": {"gate": False, "oneshot_s": 1.0,
-                           "serve_s": 0.5, "speedup": 2.0}})
-        monkeypatch.setattr(bench, "run_por_bench", rows("por:stub"))
-        monkeypatch.setattr(bench, "run_dfa_bench", rows("dfa:stub"))
-        monkeypatch.setattr(bench, "run_objects_bench", rows("objects:stub"))
+    def test_missing_gated_baseline_row_fails_a_full_run(self, monkeypatch,
+                                                         tmp_path):
+        """A gated baseline row that a full unfiltered run does not
+        produce is a regression; a ``--quick`` run does not look."""
+        _stub_suites(monkeypatch)
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"workloads": {
+            "por:gone": {"gate": True, "speedup": 5.0},
+            "por:info": {"gate": False, "speedup": 5.0}}}))
         buf = io.StringIO()
-        assert run_bench(out=buf) == 1
+        assert run_bench(baseline_path=str(path), out=buf) == 1
+        regressions = [line for line in buf.getvalue().splitlines()
+                       if line.startswith("REGRESSION:")]
+        assert regressions == [
+            "REGRESSION: por:gone: gated in the baseline but not produced"]
+        assert run_bench(quick=True, baseline_path=str(path),
+                         out=io.StringIO()) == 0
+
+    @pytest.mark.parametrize("row", sorted(PLANTS))
+    def test_planted_regression_fails_its_row(self, row, monkeypatch):
+        """Each gate fails its own row on a planted regression: exit 1
+        and a ``REGRESSION:`` line naming the row, printed after every
+        suite of the run has printed -- not a traceback."""
+        suite, quick, plant = PLANTS[row]
+        _stub_suites(monkeypatch, keep=suite)
+        plant(monkeypatch)
+        buf = io.StringIO()
+        assert run_bench(quick=quick, baseline_path=str(BASELINE),
+                         out=buf) == 1
         lines = buf.getvalue().splitlines()
-        printed = [line.split()[0] for line in lines]
-        for name in ("serve:warm", "por:stub", "dfa:stub", "objects:stub"):
-            assert name in printed, lines
-        assert lines[-1] == ("REGRESSION: serve:warm: 2.0x over the "
-                             "per-invocation path is below the 3x floor")
+        first_miss = next(i for i, line in enumerate(lines)
+                          if line.startswith("REGRESSION:"))
+        printed = [line.split()[0] for line in lines[:first_miss]]
+        assert row in printed, lines
+        for stub in SUITES:
+            if stub != suite and (stub != "serve" or not quick):
+                assert f"stub-{stub}" in printed, lines
+        misses = lines[first_miss:]
+        assert all(line.startswith("REGRESSION: ") for line in misses)
+        # a full run over stubs also misses the rows the stubs replace
+        own = [line for line in misses
+               if not line.endswith("gated in the baseline but not produced")]
+        assert own and all(line.startswith(f"REGRESSION: {row}: ")
+                           for line in own), misses
 
     def test_quick_dfa_row_is_gated_and_wins(self):
         buf = io.StringIO()
